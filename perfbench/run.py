@@ -107,6 +107,8 @@ def main():
     # Untraced runs report the end_to_end metrics, traced runs the per_layer
     # ones, exactly as BENCHMARK.json names them.
     metrics = result["metrics"]
+    if not args.trace:
+        metrics["ok_share"] = {"value": max(0.0, 1.0 - failed / attempted), "unit": "share"}
     expected = expected_metrics(args.trace)
     if expected is not None:
         for name, unit in expected.items():

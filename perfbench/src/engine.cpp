@@ -179,7 +179,7 @@ std::size_t replayTraced(const EngineCell& cell, std::size_t samples, std::uint6
 }
 
 std::size_t satDecided(const EngineCell& cell, std::size_t samples, std::uint64_t seed,
-                       const std::vector<MappingResult>& mappings, Report& report) {
+                       const std::vector<bool>& mapped, Report& report) {
   static const FastExactMapper fastEa;
   Scratch& sc = scratch();
   const FunctionMatrix& fm = cell.circuit->fm;
@@ -189,7 +189,7 @@ std::size_t satDecided(const EngineCell& cell, std::size_t samples, std::uint64_
     draw(cell, streams[s], sc);
     sc.ctx.setExecution(nullptr, nullptr);
     const bool hk = fastEa.map(fm, sc.cm, sc.ctx).success;
-    if (s < mappings.size() && mappings[s].success) {
+    if (s < mapped.size() && mapped[s]) {
       ++decided;
       if (!hk) report.fail(cell.id + ": SAT mapped a sample Hopcroft-Karp cannot map");
       continue;

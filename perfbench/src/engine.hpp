@@ -65,9 +65,9 @@ std::size_t replayTraced(const EngineCell& cell, std::size_t samples, std::uint6
 /// Samples of a sat request that got an exact verdict within the budget:
 /// every mapped sample, plus every unmapped one the sat layer proves
 /// unsatisfiable. Each verdict is checked against Hopcroft-Karp (fast-ea)
-/// on the same sample; @p mappings are the engine's per-sample results.
+/// on the same sample; @p mapped holds the engine's per-sample successes.
 std::size_t satDecided(const EngineCell& cell, std::size_t samples, std::uint64_t seed,
-                       const std::vector<mcx::MappingResult>& mappings, Report& report);
+                       const std::vector<bool>& mapped, Report& report);
 
 /// The engine-layer per_layer metrics from replay totals;
 /// @p engineNsPerSample is the untraced engine's cost on the same requests.

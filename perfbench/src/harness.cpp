@@ -47,6 +47,70 @@ double quantile(std::vector<double> values, double q) {
 
 double median(std::vector<double> values) { return quantile(std::move(values), 0.5); }
 
+double hostSlowdown() {
+  // Frozen: a change to the probe rescales every time metric, so the
+  // metrics of the commits before it no longer compare.
+  constexpr int kRows = 96, kWords = 2, kCols = kWords * 64;
+  static volatile std::uint64_t sink = 0;
+  std::vector<std::uint64_t> adjacent(kRows * kWords);
+  std::vector<int> colOf(kRows), rowOf(kCols);
+  std::vector<char> seen(kCols);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull, visits = 0;
+  const std::uint64_t t0 = nowNs();
+  for (int rep = 0; rep < 10; ++rep) {
+    // Draw: each bit is set with probability 0.9 (xorshift64), then masked
+    // by an earlier row or a random pattern, so rows share their holes.
+    for (int r = 0; r < kRows; ++r)
+      for (int w = 0; w < kWords; ++w) {
+        std::uint64_t word = 0;
+        for (int b = 0; b < 64; ++b) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+          if (x % 1000 >= 100) word |= 1ull << b;
+        }
+        adjacent[r * kWords + w] =
+            word & (adjacent[((r * 7) % kRows) * kWords + w] | (x & 0xff00ff00ff00ff00ull));
+      }
+    // Match: per row, a depth-first search (explicit stack) for an
+    // augmenting path, then the augmentation back along it.
+    std::fill(colOf.begin(), colOf.end(), -1);
+    std::fill(rowOf.begin(), rowOf.end(), -1);
+    for (int root = 0; root < kRows; ++root) {
+      std::fill(seen.begin(), seen.end(), 0);
+      std::vector<int> stack = {root};
+      std::vector<int> via(kRows, -1);
+      bool augmented = false;
+      while (!stack.empty() && !augmented) {
+        const int u = stack.back();
+        stack.pop_back();
+        for (int c = 0; c < kCols && !augmented; ++c) {
+          if (seen[c] || ((adjacent[u * kWords + c / 64] >> (c % 64)) & 1) == 0) continue;
+          seen[c] = 1;
+          ++visits;
+          if (rowOf[c] >= 0) {
+            via[rowOf[c]] = u;
+            stack.push_back(rowOf[c]);
+            continue;
+          }
+          for (int row = u, col = c;;) {
+            const int freed = colOf[row];
+            rowOf[col] = row;
+            colOf[row] = col;
+            if (row == root) break;
+            col = freed;
+            row = via[row];
+          }
+          augmented = true;
+        }
+      }
+    }
+  }
+  const double ns = static_cast<double>(nowNs() - t0);
+  sink = sink + visits;
+  return ns / kProbeReferenceNs;
+}
+
 double peakRssMb() {
   // VmHWM belongs to this image alone; getrusage's ru_maxrss would carry
   // over the high-water mark of the process that exec'd us.

@@ -22,7 +22,7 @@ struct Options {
 };
 
 /// Set-ups per run; setup_s is their median.
-constexpr int kSetupRepeats = 9;
+constexpr std::size_t kSetupRepeats = 9;
 
 /// Monotonic nanoseconds since a process-wide epoch (steady_clock).
 std::uint64_t nowNs();
@@ -36,6 +36,19 @@ std::uint64_t derive(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,
 /// 0 for an empty sample.
 double quantile(std::vector<double> values, double q);
 double median(std::vector<double> values);
+
+/// Time of one host-speed probe (hostSlowdown) on the reference host at
+/// its usual speed.
+constexpr double kProbeReferenceNs = 6.0e6;
+
+/// How much slower the host runs now than the reference host: the time of
+/// one probe over kProbeReferenceNs. The probe is a fixed piece of the
+/// benchmark's own code, of the kind the workloads spend their time in
+/// (Bernoulli bit draws into a bit matrix, then bipartite matching over it
+/// by augmenting paths, with small allocations), so it slows down with the
+/// host but not with changes to the library. Time metrics are divided by
+/// it, rates multiplied, so they read as measured on the reference host.
+double hostSlowdown();
 
 /// Peak resident set of this process in MiB (VmHWM).
 double peakRssMb();

@@ -54,9 +54,11 @@ struct WorkloadDef {
   std::size_t referenceSamples = 0;
 };
 
-std::string sparse(double open) {
+std::string sparse(double open, double closed = 0) {
   std::ostringstream out;
-  out << R"({"model":"iid-sparse","open":)" << open << "}";
+  out << R"({"model":"iid-sparse","open":)" << open;
+  if (closed > 0) out << R"(,"closed":)" << closed;
+  out << "}";
   return out.str();
 }
 
@@ -77,14 +79,17 @@ WorkloadDef defineWorkload(const std::string& name) {
     def.referenceSeed = 0x7ab1e2;  // BENCH_table2_defect_mc.json's seed and size
     def.referenceSamples = 200;
   } else if (name == "mc-cliff") {
+    // Multi-level crossbars map nearly every sample at any stuck-open rate
+    // below the sparse draw's cutoff; a trickle of stuck-closed defects puts
+    // them on a cliff instead.
     const std::vector<CellDecl> groups = {
         {"rd84", "", sparse(0.10), 0, 0, 0},
         {"rd84", "", sparse(0.12), 0, 0, 1},
         {"rd73", "", sparse(0.10), 0, 0, 2},
         {"rd73", "", sparse(0.12), 0, 0, 3},
-        {"apex4", "", sparse(0.15), 0, 0, 4},
-        {R"({"circuit":"bw","realize":"multilevel"})", "", sparse(0.20), 0, 0, 5},
-        {R"({"circuit":"rd84","realize":"multilevel"})", "", sparse(0.24), 0, 0, 6},
+        {"apex4", "", sparse(0.16), 0, 0, 4},
+        {R"({"circuit":"bw","realize":"multilevel"})", "", sparse(0.20, 0.00001), 0, 0, 5},
+        {R"({"circuit":"rd84","realize":"multilevel"})", "", sparse(0.24, 0.00003), 0, 0, 6},
         {"rd73", "", R"({"model":"clustered","density":0.0005,"spread":0.8,"closedShare":0.05})",
          0, 16, 7},
     };
@@ -137,6 +142,7 @@ std::string cellId(const CellDecl& d) {
     const SpecValue model = parseSpec(d.scenario);
     out << model.stringOr("model", "?") << "-"
         << model.numberOr("open", model.numberOr("density", 0));
+    if (model.numberOr("closed", 0) > 0) out << "+closed" << model.numberOr("closed", 0);
   }
   if (d.spare > 0) out << "+spare" << d.spare;
   return out.str();
@@ -253,64 +259,104 @@ void traceCompile(const std::vector<Cell>& cells, Tracer& tracer) {
   }
 }
 
+/// The run is cut into kSlices equal stretches of time; a latency
+/// percentile is the median of the per-slice percentiles, so a stretch in
+/// which the host stalled moves it little.
+constexpr std::size_t kSlices = 5;
+
+double slicedQuantile(const std::vector<std::pair<std::size_t, double>>& timed, double q) {
+  std::vector<std::vector<double>> slices(kSlices);
+  for (const auto& [slice, ms] : timed) slices[slice].push_back(ms);
+  std::vector<double> perSlice;
+  for (std::vector<double>& values : slices)
+    if (!values.empty()) perSlice.push_back(quantile(std::move(values), q));
+  return median(perSlice);
+}
+
 }  // namespace
 
 void runMcWorkload(const Options& options, Report& report) {
   const WorkloadDef def = defineWorkload(options.workload);
 
-  // Set-up, several times over; the median is the metric.
-  std::vector<double> setups;
-  std::vector<Cell> cells;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  // Set-up, several times over and spread across the run, so that the
+  // median (the metric) rests on the same stretches of host speed as the
+  // measured requests. Only the first set-up's cells are used. Every time
+  // metric is scaled to the reference host by host probes (hostSlowdown):
+  // a set-up by the probe that follows it.
+  std::vector<double> setups, slowdowns;
+  const auto probe = [&]() { return slowdowns.emplace_back(hostSlowdown()); };
+  const auto setUpOnce = [&]() {
     const std::uint64_t t0 = nowNs();
-    cells = setUp(def);
+    std::vector<Cell> fresh = setUp(def);
     // Warm-up: one heavy request per cell at a fixed seed, so lazy state
     // (allocations, per-circuit indexes) is built before timing.
-    for (const Cell& cell : cells)
+    for (const Cell& cell : fresh)
       runDefectExperiment(cell.engine.circuit->fm, *cell.engine.mapper,
                           configFor(cell, def.heavySamples, 0x3a53));
-    setups.push_back(static_cast<double>(nowNs() - t0) / 1e9);
-  }
-  report.metric("setup_s", median(setups), "s");
+    const double seconds = static_cast<double>(nowNs() - t0) / 1e9;
+    setups.push_back(seconds / probe());
+    return fresh;
+  };
+  const std::vector<Cell> cells = setUpOnce();
 
   Plan plan(def, options.seed);
-  std::vector<double> lightMs, heavyMs;
+  // Latency of each request class, with the slice of the run it started in;
+  // those of the current round wait for the probe at its end. A round is
+  // scaled by the mean of the probes before and after it.
+  std::vector<std::pair<std::size_t, double>> lightMs, heavyMs;
+  std::vector<std::tuple<bool, std::size_t, double>> roundMs;
+  const auto closeRound = [&]() {
+    const double before = slowdowns.back();
+    const double slowdown = (before + probe()) / 2;
+    for (const auto& [heavy, slice, ms] : roundMs)
+      (heavy ? heavyMs : lightMs).push_back({slice, ms / slowdown});
+    roundMs.clear();
+    return slowdown;
+  };
   double engineNs = 0;
-  std::size_t engineSamples = 0, requests = 0, failedRequests = 0;
+  std::size_t engineSamples = 0, requests = 0;
   // Every round carries the same cells and sizes (only the seeds differ), so
-  // per-round rates are comparable; their median is the throughput, robust
-  // to a slow stretch of the host inside the run. The last, partial round is
-  // left out.
-  std::vector<double> roundSamplesPerS, roundRequestsPerS;
+  // per-round rates are comparable; their median, each scaled by the probes
+  // around the round, is the throughput, robust to a slow stretch of the host
+  // inside the run. The last, partial round is left out.
+  std::vector<double> roundSamplesPerS;
   double roundNs = 0;
-  std::size_t round = 0, roundSamples = 0, roundRequests = 0;
+  std::size_t round = 0, roundSamples = 0;
   std::size_t decided = 0;
   ReplayTotals replay;
   Tracer tracer;
   Tracer* tr = options.trace ? &tracer : nullptr;
   if (tr != nullptr) tracer.reserve(1 << 21);
   std::vector<std::string> sliceLines;
-  // Engine results of sat requests, for the verdict audit.
-  std::vector<std::pair<Request, std::vector<MappingResult>>> satAudits;
+  // Per-sample successes of sat requests, for the verdict audit; only the
+  // flags are kept, so peak memory does not grow with throughput.
+  std::vector<std::pair<Request, std::vector<bool>>> satAudits;
   // The sat oracle runs once per cell, on circuits small enough for it.
   std::vector<bool> oracled(cells.size(), false);
   // hba and exact successes per (round, group, heavy): identical samples,
-  // so hba can never map more than the exact mapper.
+  // so hba can never map more than the exact mapper. An entry is checked and
+  // dropped once both have run.
   std::map<std::tuple<std::size_t, std::size_t, bool>, std::pair<long, long>> pairs;
 
-  const std::uint64_t deadline = nowNs() + static_cast<std::uint64_t>(options.seconds * 1e9);
+  const std::uint64_t start = nowNs();
+  const std::uint64_t span = static_cast<std::uint64_t>(options.seconds * 1e9);
+  const std::uint64_t deadline = start + span;
+  const auto sliceOf = [&](std::uint64_t t) {
+    return std::min<std::size_t>(kSlices - 1,
+                                 (t - start) * kSlices / std::max<std::uint64_t>(1, span));
+  };
   while (nowNs() < deadline) {
+    if (nowNs() >= start + setups.size() * span / kSetupRepeats) setUpOnce();
     const Request req = plan.next();
     if (req.round != round) {
-      roundSamplesPerS.push_back(static_cast<double>(roundSamples) / (roundNs / 1e9));
-      roundRequestsPerS.push_back(static_cast<double>(roundRequests) / (roundNs / 1e9));
+      const double slowdown = closeRound();
+      roundSamplesPerS.push_back(static_cast<double>(roundSamples) / (roundNs / 1e9) * slowdown);
       round = req.round;
       roundNs = 0;
-      roundSamples = roundRequests = 0;
+      roundSamples = 0;
     }
     const Cell& cell = cells[req.cell];
     const EngineCell& e = cell.engine;
-    const std::uint64_t failedBefore = report.failed();
     const std::uint64_t t0 = nowNs();
     const DefectExperimentResult res =
         runDefectExperiment(e.circuit->fm, *e.mapper, configFor(cell, req.samples, req.seed));
@@ -320,14 +366,20 @@ void runMcWorkload(const Options& options, Report& report) {
     engineSamples += res.completed;
     roundNs += ns;
     roundSamples += res.completed;
-    ++roundRequests;
-    (req.heavy ? heavyMs : lightMs).push_back(ns / 1e6);
+    roundMs.emplace_back(req.heavy, sliceOf(t0), ns / 1e6);
     if (res.completed != req.samples || res.aborted) report.fail(e.id + ": request incomplete");
 
-    auto [slot, fresh] = pairs.try_emplace({req.round, cell.decl.group, req.heavy}, -1, -1);
-    (void)fresh;
-    if (e.exact) slot->second.second = static_cast<long>(res.successes);
-    if (!e.exact && !e.sat) slot->second.first = static_cast<long>(res.successes);
+    if (!e.sat) {
+      auto [slot, fresh] = pairs.try_emplace({req.round, cell.decl.group, req.heavy}, -1, -1);
+      (void)fresh;
+      auto& [hbaSuccesses, exactSuccesses] = slot->second;
+      (e.exact ? exactSuccesses : hbaSuccesses) = static_cast<long>(res.successes);
+      if (hbaSuccesses >= 0 && exactSuccesses >= 0) {  // both mappers ran these samples
+        report.check(hbaSuccesses <= exactSuccesses,
+                     "hba mapped more samples than the exact mapper");
+        pairs.erase(slot);
+      }
+    }
 
     if (tr != nullptr) {
       const bool oracle = !oracled[req.cell] && e.circuit->fm.rows() <= kOracleMaxRows;
@@ -339,20 +391,18 @@ void runMcWorkload(const Options& options, Report& report) {
       if (!req.heavy && sliceLines.size() < 64)
         sliceLines.push_back(requestLine(cell, req, "slice-" + std::to_string(sliceLines.size())));
     } else if (e.sat) {
-      satAudits.push_back({req, res.mappings});  // checked after the timed loop
+      std::vector<bool> mapped;  // checked after the timed loop
+      for (const MappingResult& m : res.mappings) mapped.push_back(m.success);
+      satAudits.push_back({req, std::move(mapped)});
     } else {
       decided += e.exact ? res.completed : res.successes;
     }
-    if (report.failed() != failedBefore) ++failedRequests;
   }
-  for (const auto& [req, mappings] : satAudits) {
-    const std::uint64_t failedBefore = report.failed();
-    decided += satDecided(cells[req.cell].engine, req.samples, req.seed, mappings, report);
-    if (report.failed() != failedBefore) ++failedRequests;
-  }
-  for (const auto& [key, pair] : pairs)
-    if (pair.first >= 0 && pair.second >= 0)
-      report.check(pair.first <= pair.second, "hba mapped more samples than the exact mapper");
+  const double lastSlowdown = closeRound();  // the last, partial round
+  while (setups.size() < kSetupRepeats) setUpOnce();  // a run shorter than its set-ups
+  report.metric("setup_s", median(setups), "s");
+  for (const auto& [req, mapped] : satAudits)
+    decided += satDecided(cells[req.cell].engine, req.samples, req.seed, mapped, report);
   report.attempted(requests);
 
   // Pinned reference pass (untimed): every cell once at the fixed seed.
@@ -366,26 +416,22 @@ void runMcWorkload(const Options& options, Report& report) {
 
   const double engineSeconds = engineNs / 1e9;
   std::cerr << options.workload << ": " << requests << " requests, " << engineSamples
-            << " samples in " << engineSeconds << " s of engine time\n";
+            << " samples in " << engineSeconds << " s of engine time; host slowdown "
+            << median(slowdowns) << " (median of " << slowdowns.size() << " probes)\n";
   const double samples = static_cast<double>(std::max<std::size_t>(1, engineSamples));
   const double engineNsPerSample = engineNs / samples;
   if (tr == nullptr) {
     // A run too short for one whole round falls back to its totals.
-    if (roundSamplesPerS.empty()) {
-      roundSamplesPerS.push_back(static_cast<double>(engineSamples) / engineSeconds);
-      roundRequestsPerS.push_back(static_cast<double>(requests) / engineSeconds);
-    }
+    if (roundSamplesPerS.empty())
+      roundSamplesPerS.push_back(static_cast<double>(engineSamples) / engineSeconds *
+                                 lastSlowdown);
     report.metric("mc_samples_per_s", median(roundSamplesPerS), "1/s");
-    report.metric("latency_p50_ms.light", quantile(lightMs, 0.50), "ms");
-    report.metric("latency_p99_ms.light", quantile(lightMs, 0.99), "ms");
-    report.metric("latency_p50_ms.heavy", quantile(heavyMs, 0.50), "ms");
-    report.metric("latency_p99_ms.heavy", quantile(heavyMs, 0.99), "ms");
-    // A closed loop on one lane never builds a backlog: its highest
-    // sustained rate is the rate it completes requests at.
-    report.metric("max_rps", median(roundRequestsPerS), "1/s");
-    report.metric("ok_share",
-                  1.0 - static_cast<double>(failedRequests) / static_cast<double>(requests),
-                  "share");
+    report.metric("latency_p50_ms.light", slicedQuantile(lightMs, 0.50), "ms");
+    report.metric("latency_p99_ms.light", slicedQuantile(lightMs, 0.99), "ms");
+    report.metric("latency_p50_ms.heavy", slicedQuantile(heavyMs, 0.50), "ms");
+    report.metric("latency_p99_ms.heavy", slicedQuantile(heavyMs, 0.99), "ms");
+    // ok_share is 1 - failed / attempted over the run's final totals,
+    // which perfbench/run.py completes with the pinned reference cells.
     report.metric("decided_share",
                   static_cast<double>(decided) / samples,
                   "share");

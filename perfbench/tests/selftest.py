@@ -82,6 +82,7 @@ class Harness(unittest.TestCase):
         result = result_of(done)
         self.assertFalse(result["correct"])
         self.assertGreaterEqual(result["failed"], 1)
+        self.assertLess(result["metrics"]["ok_share"]["value"], 1)
         self.assertIn(cell, done.stderr)
 
     def test_refuses_without_sources(self):
