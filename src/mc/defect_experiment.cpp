@@ -158,13 +158,13 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   {
     static obs::Counter& experiments = obs::Registry::global().counter("mc.experiments");
     static obs::Counter& samplesRun = obs::Registry::global().counter("mc.samples");
-    static obs::Gauge& samplesPerSec =
-        obs::Registry::global().gauge("mc.samples_per_sec");
+    // One value per experiment (wall ns per completed sample), so concurrent
+    // experiments each leave their own record instead of overwriting a gauge.
+    static obs::Histogram& sampleNs = obs::Registry::global().histogram("mc.sample_ns");
     experiments.add(1);
     samplesRun.add(result.completed);
-    if (wallSeconds > 0)
-      samplesPerSec.set(
-          static_cast<std::int64_t>(static_cast<double>(result.completed) / wallSeconds));
+    if (result.completed > 0)
+      sampleNs.recordSeconds(wallSeconds / static_cast<double>(result.completed));
   }
 
   // Label the abort only when the token actually cut the run short. The

@@ -10,6 +10,7 @@
 #include "api/experiment.hpp"
 #include "obs/trace.hpp"
 #include "scenario/spec.hpp"
+#include "util/error.hpp"
 #include "util/faultinject.hpp"
 #include "util/process.hpp"
 
@@ -547,6 +548,13 @@ void ExperimentService::execute(Pending& pending) {
     if (degraded) reg.degraded.add(1);
     respond(okResponse(req.id, result, queueMs, runMs, totalMs,
                        degraded ? req.samples : 0));
+  } catch (const ParseError& e) {
+    // A malformed PLA or circuit spec only surfaces when the circuit is
+    // compiled: the client's input is at fault, not the daemon.
+    bumpForCode(ErrorCode::Parse);
+    reg.busyMicros.add(static_cast<std::uint64_t>(runWatch.millis() * 1e3));
+    respond(errorResponse(req.id, ErrorCode::Parse, e.what(), nullptr, queueMs,
+                          pending.admitted.millis()));
   } catch (const std::bad_alloc&) {
     reg.internalErrors.add(1);
     reg.busyMicros.add(static_cast<std::uint64_t>(runWatch.millis() * 1e3));

@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace mcx {
@@ -31,23 +30,6 @@ double logGamma(double x) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::operator()() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::uniformInt(std::uint64_t lo, std::uint64_t hi) {

@@ -5,6 +5,7 @@
 // between standard library implementations for some distribution types.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -19,11 +20,26 @@ public:
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
+  // Inline: the dense defect sampler draws once per crosspoint, where an
+  // out-of-line call per draw is most of the cost.
   /// Raw 64 random bits.
-  std::uint64_t operator()();
+  std::uint64_t operator()() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits.
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
   /// True with probability p (clamped to [0,1]).

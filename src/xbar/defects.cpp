@@ -1,6 +1,9 @@
 #include "xbar/defects.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -79,15 +82,33 @@ void DefectMap::resample(std::size_t rows, std::size_t cols, double stuckOpenRat
               "DefectMap::resample: bad rates");
   open_.reshape(rows, cols);
   closed_.reshape(rows, cols);
+  // One uniform per crosspoint, row-major: u = k * 2^-53 with k = draw >> 11
+  // (Rng::uniform), and since p * 2^53 is exact, u < p <=> k < ceil(p * 2^53).
+  // Integer thresholds make every map bit-identical to comparing uniforms.
+  const auto threshold = [](double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  };
+  const std::uint64_t tOpen = threshold(stuckOpenRate);
+  const std::uint64_t tAny = threshold(stuckOpenRate + stuckClosedRate);
+  // A local generator keeps its state in registers: the word stores below
+  // could otherwise alias it.
+  Rng local = rng;
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double u = rng.uniform();
-      if (u < stuckOpenRate)
-        open_.set(r, c);
-      else if (u < stuckOpenRate + stuckClosedRate)
-        closed_.set(r, c);
+    const auto open = open_.rowWords(r);
+    const auto closed = closed_.rowWords(r);
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      const std::size_t bits = std::min(BitMatrix::kWordBits, cols - i * BitMatrix::kWordBits);
+      BitMatrix::Word openWord = 0, anyWord = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        const std::uint64_t k = local() >> 11;
+        openWord |= BitMatrix::Word{k < tOpen} << b;
+        anyWord |= BitMatrix::Word{k < tAny} << b;
+      }
+      open[i] = openWord;
+      closed[i] = anyWord & ~openWord;
     }
   }
+  rng = local;
 }
 
 BitMatrix crossbarMatrix(const DefectMap& defects) {

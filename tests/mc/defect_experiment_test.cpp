@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "logic/sop_parser.hpp"
 #include "map/exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/defect_model.hpp"
 #include "scenario/registry.hpp"
 
@@ -260,6 +262,22 @@ TEST(DefectExperiment, TokenFiringAfterTheLastSampleDoesNotLabelTheRunAborted) {
   EXPECT_EQ(r.completed, cfg.samples);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.abortReason, "");
+}
+
+TEST(DefectExperiment, ConcurrentExperimentsEachRecordOneSampleTime) {
+  // mc.sample_ns holds one value per experiment; two experiments running at
+  // once must both land in it rather than one overwriting the other.
+  obs::Histogram& sampleNs = obs::Registry::global().histogram("mc.sample_ns");
+  const std::uint64_t before = sampleNs.count();
+  DefectExperimentConfig cfg;
+  cfg.samples = 30;
+  cfg.stuckOpenRate = 0.1;
+  const FunctionMatrix fm = testFm();
+  std::thread other([&] { runDefectExperiment(fm, HybridMapper(), cfg); });
+  runDefectExperiment(fm, HybridMapper(), cfg);
+  other.join();
+  EXPECT_EQ(sampleNs.count(), before + 2);
+  EXPECT_GT(sampleNs.snapshot().max, 0u);
 }
 
 TEST(ForEachDefectSample, DeliversRequestedSamples) {

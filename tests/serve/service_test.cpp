@@ -267,6 +267,25 @@ TEST_F(ServiceTest, SynthesisFailureIsInternalAndTheServiceSurvives) {
   EXPECT_EQ(log.response("next").stringOr("status", ""), "ok");
 }
 
+TEST_F(ServiceTest, MalformedInlinePlaIsParseNotInternal) {
+  // The spec parser accepts any non-empty pla: text; the PLA itself is only
+  // read when the circuit compiles on a worker. Its ParseError is still the
+  // client's fault: answered as `parse`, never counted as internal.
+  ResponseLog log;
+  ExperimentService service(smallOptions(), log.sink());
+  service.submit(R"({"id": "badpla", "circuit": "pla:.i 2\n.o 1\n1z 1\n.e", "samples": 5})");
+  service.drain();
+
+  const SpecValue response = log.response("badpla");
+  EXPECT_EQ(response.stringOr("status", ""), "error");
+  EXPECT_EQ(errorCode(response), "parse");
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.accepted, 1u);
+  EXPECT_EQ(counters.parseErrors, 1u);
+  EXPECT_EQ(counters.internalErrors, 0u);
+  EXPECT_EQ(counters.completedOk, 0u);
+}
+
 TEST_F(ServiceTest, SatMapperRequestCompletes) {
   ResponseLog log;
   ExperimentService service(smallOptions(), log.sink());
