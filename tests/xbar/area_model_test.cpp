@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "logic/sop_parser.hpp"
 #include "netlist/nand_mapper.hpp"
 #include "util/error.hpp"
@@ -20,6 +22,12 @@ struct TableIIRow {
   const char* name;
   std::size_t i, o, p, area;
 };
+
+// Without this, gtest prints the row as raw bytes, name pointer included, so
+// the listed test names would change from one run to the next.
+void PrintTo(const TableIIRow& row, std::ostream* os) {
+  *os << row.name << " I=" << row.i << " O=" << row.o << " P=" << row.p << " area=" << row.area;
+}
 
 class TableIIAreas : public ::testing::TestWithParam<TableIIRow> {};
 
