@@ -139,11 +139,6 @@ ExperimentBuilder& ExperimentBuilder::spareRows(std::size_t spares) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::verifyMappings(bool on) {
-  config_.verify = on;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::timePerSample(bool on) {
   config_.timePerSample = on;
   return *this;

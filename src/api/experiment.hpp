@@ -119,7 +119,6 @@ public:
   ExperimentBuilder& seed(std::uint64_t seed);
   ExperimentBuilder& threads(std::size_t threads);
   ExperimentBuilder& spareRows(std::size_t spares);
-  ExperimentBuilder& verifyMappings(bool on);
   ExperimentBuilder& timePerSample(bool on);
   ExperimentBuilder& keepMappings(bool on);
   /// Graded acceptance budget (functional yield(ε)) in [0, 1]: a sample

@@ -131,14 +131,8 @@ std::shared_ptr<const ApproxMapper::FmAnalysis> ApproxMapper::analyze(
   return analysis;
 }
 
-MappingResult ApproxMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingResult exact = inner_->map(fm, cm);
-  if (exact.success || exact.aborted) return exact;
-  return rescue(fm, cm, buildCandidateAdjacency(fm.bits(), cm), std::move(exact));
-}
-
-MappingResult ApproxMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
-                                MappingContext& ctx) const {
+MappingResult ApproxMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                    MappingContext& ctx) const {
   MappingResult exact = inner_->map(fm, cm, ctx);
   if (exact.success || exact.aborted) return exact;
   return rescue(fm, cm, ctx.candidateAdjacency(fm.bits(), cm), std::move(exact));
@@ -149,8 +143,7 @@ MappingResult ApproxMapper::rescue(const FunctionMatrix& fm, const BitMatrix& cm
                                    MappingResult innerFailure) const {
   // Outside the graded scope (multi-level FM, truth tables too wide): the
   // sample stays a plain binary failure.
-  if (fm.numConnectionCols() != 0 || fm.nin() > 16 || fm.rows() > cm.rows())
-    return innerFailure;
+  if (fm.numConnectionCols() != 0 || fm.nin() > 16) return innerFailure;
 
   faultinject::onSite("approx.evaluate");
 

@@ -51,14 +51,14 @@ public:
                         std::shared_ptr<const IMapper> inner = nullptr);
 
   std::string name() const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                    MappingContext& ctx) const override;
 
   const ApproxMapperOptions& options() const { return options_; }
   const IMapper& inner() const { return *inner_; }
 
 private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
+
   /// Per-FM precomputation (cube list, spec truth tables, cube weights,
   /// weight-sorted row order): depends only on the FM content, not on the
   /// defect sample, so it is cached under the FM's content hash and shared

@@ -5,66 +5,25 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/error.hpp"
 
 namespace mcx {
-
-BipartiteGraph::BipartiteGraph(std::size_t numLeft, std::size_t numRight)
-    : numRight_(numRight), adj_(numLeft) {}
-
-void BipartiteGraph::addEdge(std::size_t left, std::size_t right) {
-  MCX_REQUIRE(left < adj_.size() && right < numRight_, "BipartiteGraph::addEdge out of range");
-  adj_[left].push_back(right);
-}
-
-const std::vector<std::size_t>& BipartiteGraph::neighbors(std::size_t left) const {
-  MCX_REQUIRE(left < adj_.size(), "BipartiteGraph::neighbors out of range");
-  return adj_[left];
-}
 
 namespace {
 
 constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
 
-// Adjacency-list view of a BipartiteGraph.
-struct ListGraphView {
-  const BipartiteGraph& g;
-
-  std::size_t numLeft() const { return g.numLeft(); }
-  std::size_t numRight() const { return g.numRight(); }
-
-  template <typename Fn>
-  bool forEachNeighbor(std::size_t l, Fn&& fn) const {
-    for (const std::size_t r : g.neighbors(l)) {
-      if (fn(r)) return true;
-    }
-    return false;
-  }
-
-  /// Greedy maximal seed: every left takes its first unmatched neighbor.
-  std::size_t greedySeed(std::vector<std::size_t>& matchL,
-                         std::vector<std::size_t>& matchR) const {
-    std::size_t placed = 0;
-    for (std::size_t l = 0; l < g.numLeft(); ++l) {
-      for (const std::size_t r : g.neighbors(l)) {
-        if (matchR[r] != MatchingResult::kUnmatched) continue;
-        matchL[l] = r;
-        matchR[r] = l;
-        ++placed;
-        break;
-      }
-    }
-    return placed;
-  }
-};
-
-// Bit-matrix view: each set bit of row l is an edge l -> (word * 64 + bit),
-// walked word-at-a-time with countr_zero — no per-edge adjacency structure.
-struct BitGraphView {
+// Hopcroft-Karp on a bit-matrix adjacency: each set bit of row l is an edge
+// l -> (word * 64 + bit), walked word-at-a-time with countr_zero — no
+// per-edge adjacency structure.
+struct HkEngine {
   const BitMatrix& adj;
+  std::vector<std::size_t> matchL, matchR, dist, queue;
 
-  std::size_t numLeft() const { return adj.rows(); }
-  std::size_t numRight() const { return adj.cols(); }
+  explicit HkEngine(const BitMatrix& adjacency)
+      : adj(adjacency),
+        matchL(adj.rows(), MatchingResult::kUnmatched),
+        matchR(adj.cols(), MatchingResult::kUnmatched),
+        dist(adj.rows()) {}
 
   template <typename Fn>
   bool forEachNeighbor(std::size_t l, Fn&& fn) const {
@@ -84,8 +43,7 @@ struct BitGraphView {
   /// Greedy maximal seed, word-parallel: candidate words are ANDed with a
   /// free-rights mask, so already-taken neighbors are skipped 64 at a time
   /// instead of bit by bit (they dominate once the matching fills up).
-  std::size_t greedySeed(std::vector<std::size_t>& matchL,
-                         std::vector<std::size_t>& matchR) const {
+  std::size_t greedySeed() {
     using Word = BitMatrix::Word;
     if (adj.rows() == 0 || adj.cols() == 0) return 0;
     const std::size_t words = adj.rowWords(0).size();
@@ -108,27 +66,13 @@ struct BitGraphView {
     }
     return placed;
   }
-};
-
-// One Hopcroft-Karp engine for every graph representation: the Graph policy
-// only supplies vertex counts and neighbor iteration.
-template <typename Graph>
-struct HkEngine {
-  Graph g;
-  std::vector<std::size_t> matchL, matchR, dist, queue;
-
-  explicit HkEngine(Graph graph)
-      : g(graph),
-        matchL(g.numLeft(), MatchingResult::kUnmatched),
-        matchR(g.numRight(), MatchingResult::kUnmatched),
-        dist(g.numLeft()) {}
 
   bool bfs() {
     // Flat FIFO (reused across phases): a std::queue would allocate a deque
     // chunk per phase, on the warm-started per-sample path.
     queue.clear();
     std::size_t head = 0;
-    for (std::size_t l = 0; l < g.numLeft(); ++l) {
+    for (std::size_t l = 0; l < adj.rows(); ++l) {
       if (matchL[l] == MatchingResult::kUnmatched) {
         dist[l] = 0;
         queue.push_back(l);
@@ -140,7 +84,7 @@ struct HkEngine {
     while (head < queue.size()) {
       const std::size_t l = queue[head];
       ++head;
-      g.forEachNeighbor(l, [&](std::size_t r) {
+      forEachNeighbor(l, [&](std::size_t r) {
         const std::size_t next = matchR[r];
         if (next == MatchingResult::kUnmatched) {
           foundAugmenting = true;
@@ -155,7 +99,7 @@ struct HkEngine {
   }
 
   bool dfs(std::size_t l) {
-    const bool augmented = g.forEachNeighbor(l, [&](std::size_t r) {
+    const bool augmented = forEachNeighbor(l, [&](std::size_t r) {
       const std::size_t next = matchR[r];
       if (next == MatchingResult::kUnmatched || (dist[next] == dist[l] + 1 && dfs(next))) {
         matchL[l] = r;
@@ -168,12 +112,12 @@ struct HkEngine {
     return augmented;
   }
 
-  MatchingResult run(bool warmStart = false) {
+  MatchingResult run(bool warmStart) {
     MatchingResult result;
     std::size_t phases = 0;
     if (warmStart) {
-      result.size = g.greedySeed(matchL, matchR);
-      if (result.size == g.numLeft()) {  // perfect already: no phases needed
+      result.size = greedySeed();
+      if (result.size == adj.rows()) {  // perfect already: no phases needed
         recordHkProfile(warmStart, phases);
         result.matchOfLeft = std::move(matchL);
         return result;
@@ -181,7 +125,7 @@ struct HkEngine {
     }
     while (bfs()) {
       ++phases;
-      for (std::size_t l = 0; l < g.numLeft(); ++l)
+      for (std::size_t l = 0; l < adj.rows(); ++l)
         if (matchL[l] == MatchingResult::kUnmatched && dfs(l)) ++result.size;
     }
     recordHkProfile(warmStart, phases);
@@ -210,12 +154,8 @@ struct HkEngine {
 
 }  // namespace
 
-MatchingResult hopcroftKarp(const BipartiteGraph& graph, bool warmStart) {
-  return HkEngine<ListGraphView>(ListGraphView{graph}).run(warmStart);
-}
-
 MatchingResult hopcroftKarp(const BitMatrix& adjacency, bool warmStart) {
-  return HkEngine<BitGraphView>(BitGraphView{adjacency}).run(warmStart);
+  return HkEngine(adjacency).run(warmStart);
 }
 
 }  // namespace mcx

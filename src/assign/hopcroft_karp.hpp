@@ -14,21 +14,6 @@
 
 namespace mcx {
 
-class BipartiteGraph {
-public:
-  BipartiteGraph(std::size_t numLeft, std::size_t numRight);
-
-  void addEdge(std::size_t left, std::size_t right);
-
-  std::size_t numLeft() const { return adj_.size(); }
-  std::size_t numRight() const { return numRight_; }
-  const std::vector<std::size_t>& neighbors(std::size_t left) const;
-
-private:
-  std::size_t numRight_;
-  std::vector<std::vector<std::size_t>> adj_;
-};
-
 struct MatchingResult {
   /// Size of the maximum matching.
   std::size_t size = 0;
@@ -39,15 +24,10 @@ struct MatchingResult {
   bool perfectForLeft(std::size_t numLeft) const { return size == numLeft; }
 };
 
-/// Maximum matching via Hopcroft-Karp. The same warm-start contract as the
-/// bit-matrix overload below: the greedy seed changes which maximum
-/// matching is returned, never its size.
-MatchingResult hopcroftKarp(const BipartiteGraph& graph, bool warmStart = true);
-
-/// Maximum matching directly on a bit-matrix adjacency (left vertex = row,
-/// right vertex = column). Neighbor lists are walked word-at-a-time with
-/// countr_zero, so no per-edge adjacency structure is ever materialized —
-/// the fast path for the crossbar row-matching feasibility question.
+/// Maximum matching via Hopcroft-Karp, directly on a bit-matrix adjacency
+/// (left vertex = row, right vertex = column). Neighbor lists are walked
+/// word-at-a-time with countr_zero, so no per-edge adjacency structure is
+/// ever materialized.
 ///
 /// With @p warmStart (the default) the phases are seeded with a greedy
 /// maximal matching — each left vertex takes its first free neighbor — so

@@ -52,10 +52,6 @@ std::string circuitContentKey(const CircuitSpec& spec) {
   return spec.canonical() + contentSuffix(spec);
 }
 
-std::string circuitSynthContentKey(const CircuitSpec& spec) {
-  return spec.synthCanonical() + contentSuffix(spec);
-}
-
 std::uint64_t fnv1a64(const std::string& text) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : text) {

@@ -48,10 +48,6 @@ namespace mcx {
 /// source's bytes cannot be read.
 std::string circuitContentKey(const CircuitSpec& spec);
 
-/// The synthesis-stage memo key (synthCanonical + source content): shared
-/// by every realization variant of the same source + synth declaration.
-std::string circuitSynthContentKey(const CircuitSpec& spec);
-
 /// FNV-1a 64-bit hash of a content key (the bucket index; entries chain on
 /// the full key, so hash collisions cannot alias two circuits).
 std::uint64_t fnv1a64(const std::string& text);
@@ -90,7 +86,7 @@ public:
 private:
   /// Hash-bucketed entries chained on the full content key, so hash
   /// collisions cannot alias two circuits. Two levels: realized circuits
-  /// by circuitContentKey, synthesized covers by circuitSynthContentKey —
+  /// by circuitContentKey, synthesized covers by synthCanonical + source —
   /// compiling the two-level and multi-level variants of one declaration
   /// synthesizes once. Each entry carries its byte cost and an LRU stamp.
   template <typename T>

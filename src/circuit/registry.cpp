@@ -1,28 +1,11 @@
 #include "circuit/registry.hpp"
 
-#include <initializer_list>
-
 #include "benchdata/registry.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
 
 namespace {
-
-/// Reject unrecognized spec members (same rationale as the mapper and
-/// scenario registries: a typo'd knob must not silently compile the default
-/// pipeline under the wrong label).
-void requireOnlyKeys(const SpecValue& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.members) {
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) throw ParseError("circuit spec: unknown member \"" + key + "\"");
-  }
-}
 
 std::string sourceWord(BenchmarkSource source) {
   switch (source) {
@@ -91,39 +74,28 @@ const std::vector<CircuitPreset>& circuitPresets() {
 }
 
 const CircuitPreset* findCircuitPreset(const std::string& name) {
-  for (const CircuitPreset& preset : circuitPresets())
-    if (preset.name == name) return &preset;
-  return nullptr;
+  return findPreset(circuitPresets(), name);
 }
 
 namespace {
 
-std::string knownPresetNames() {
-  std::string known;
-  for (const CircuitPreset& preset : circuitPresets()) {
-    if (!known.empty()) known += ", ";
-    known += preset.name;
-  }
-  return known;
-}
-
-/// Resolve a "circuit" string: preset name first, then the prefixed source
-/// forms. Bare names that match nothing get the full preset list.
+/// Resolve a "circuit" string: a prefixed source form, else a preset name.
+/// Bare names that match nothing get the full preset list.
 CircuitSpec resolveSource(const std::string& source) {
-  if (const CircuitPreset* preset = findCircuitPreset(source)) return preset->spec;
   if (source.starts_with("file:") || source.starts_with("pla:") ||
       source.starts_with("sop:") || source.starts_with("gen:"))
     return circuitSourceSpec(source);
-  throw ParseError("unknown circuit \"" + source + "\" (known presets: " +
-                   knownPresetNames() + "; or a file:/pla:/sop:/gen: source, "
-                   "or a JSON spec)");
+  return requirePreset(circuitPresets(), source, "circuit",
+                       "or a file:/pla:/sop:/gen: source, or a JSON spec")
+      .spec;
 }
 
 }  // namespace
 
 CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
   if (!spec.isObject()) throw ParseError("circuit spec: expected a JSON object");
-  requireOnlyKeys(spec, {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
+  requireOnlyKeys(spec, "circuit spec: ",
+                  {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
 
   const std::string source = spec.stringOr("circuit", "");
   if (source.empty()) throw ParseError("circuit spec: missing \"circuit\" member");
@@ -161,13 +133,14 @@ CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
 }
 
 CircuitSpec makeCircuitSpec(const std::string& nameOrSpec) {
-  std::size_t first = 0;
-  while (first < nameOrSpec.size() &&
-         (nameOrSpec[first] == ' ' || nameOrSpec[first] == '\t' || nameOrSpec[first] == '\n'))
-    ++first;
-  if (first < nameOrSpec.size() && nameOrSpec[first] == '{')
-    return circuitSpecFromSpec(parseSpec(nameOrSpec));
+  if (isInlineSpec(nameOrSpec)) return circuitSpecFromSpec(parseSpec(nameOrSpec));
   return resolveSource(nameOrSpec);
+}
+
+CircuitSpec makeCircuitSpec(const SpecValue& nameOrSpec) {
+  if (nameOrSpec.kind == SpecValue::Kind::String) return makeCircuitSpec(nameOrSpec.string);
+  if (!nameOrSpec.isObject()) throw ParseError("circuit spec: expected a name or a JSON object");
+  return circuitSpecFromSpec(nameOrSpec);
 }
 
 }  // namespace mcx

@@ -40,8 +40,12 @@ CircuitSpec circuitSpecFromSpec(const SpecValue& spec);
 
 /// Resolve a circuit string: a preset name ("bw"), a prefixed source
 /// ("file:adder.pla", "gen:weight5", ...) or, when the string starts with
-/// '{', a JSON spec. Throws mcx::ParseError listing the known presets when
-/// the name resolves to nothing.
+/// '{' (after JSON whitespace), a JSON spec. Throws mcx::ParseError listing
+/// the known presets when the name resolves to nothing.
 CircuitSpec makeCircuitSpec(const std::string& nameOrSpec);
+
+/// The same for a spec value: a string resolves as above, an object as
+/// circuitSpecFromSpec.
+CircuitSpec makeCircuitSpec(const SpecValue& nameOrSpec);
 
 }  // namespace mcx

@@ -5,7 +5,9 @@
 // input column pair (x_p, !x_p) by the CMOS controller (Fig. 7(b) of the
 // paper silently applies such a renaming: its valid mapping lists the input
 // columns as x3 x2 x1). This mapper searches over input permutations with
-// randomized restarts, running an inner row mapper for each candidate.
+// randomized restarts, running an inner row mapper for each candidate. The
+// engine's context reaches the inner mapper, and an inner abort (cancel
+// token fired) ends the search at once.
 #pragma once
 
 #include <memory>
@@ -30,9 +32,11 @@ public:
         inner_(inner ? std::move(inner) : std::make_shared<HybridMapper>()) {}
 
   std::string name() const override { return "ColPerm+" + inner_->name(); }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
 
 private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
+
   ColumnPermutationOptions opts_;
   std::shared_ptr<const IMapper> inner_;
 };

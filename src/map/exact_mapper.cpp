@@ -1,49 +1,20 @@
 #include "map/exact_mapper.hpp"
 
-#include <numeric>
-
-#include "util/error.hpp"
+#include "map/fast_exact_mapper.hpp"
 
 namespace mcx {
 
-MappingResult ExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample: full adjacency rebuild
-  return map(fm, cm, ctx);
-}
+MappingResult ExactMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                   MappingContext& ctx) const {
+  if (!opts_.useMunkres) return FastExactMapper{}.map(fm, cm, ctx);
 
-MappingResult ExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
-                               MappingContext& ctx) const {
-  MCX_REQUIRE(fm.cols() == cm.cols(), "ExactMapper: column count mismatch");
+  // The paper's formulation: zero-cost Munkres assignment on the full
+  // matching matrix (the ablation runtime baseline).
+  AssignmentResult assignment =
+      munkresSolve(buildMatchingMatrix(ctx.candidateAdjacency(fm.bits(), cm)));
   MappingResult result;
-  if (fm.rows() > cm.rows()) return result;
-
-  if (opts_.useMunkres) {
-    // The paper's formulation: zero-cost Munkres assignment on the full
-    // matching matrix (the ablation runtime baseline).
-    std::vector<std::size_t> fmRows(fm.rows());
-    std::iota(fmRows.begin(), fmRows.end(), 0u);
-    std::vector<std::size_t> cmRows(cm.rows());
-    std::iota(cmRows.begin(), cmRows.end(), 0u);
-
-    const CostMatrix matching = buildMatchingMatrix(fm.bits(), fmRows, cm, cmRows);
-    const AssignmentResult assignment = munkresSolve(matching);
-    if (assignment.cost != 0) return result;
-
-    result.rowAssignment.assign(assignment.assignment.begin(),
-                                assignment.assignment.begin() +
-                                    static_cast<std::ptrdiff_t>(fm.rows()));
-    result.success = true;
-    return result;
-  }
-
-  // Feasibility fast path: Hopcroft-Karp on the word-parallel candidate
-  // adjacency decides the same perfect-matching question in O(E sqrt(V)).
-  const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
-  FeasibleAssignment assignment = solveFeasibleAssignment(adjacency);
-  if (!assignment.success) return result;
-
-  result.rowAssignment = std::move(assignment.assignment);
-  result.success = true;
+  result.success = assignment.cost == 0;
+  if (result.success) result.rowAssignment = std::move(assignment.assignment);
   return result;
 }
 

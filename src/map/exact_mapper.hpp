@@ -2,11 +2,12 @@
 //
 // Mapping validity is decided exactly under row permutation. The matching
 // matrix is pure 0/1 feasibility, so by default the zero-cost Munkres
-// question is answered as a perfect-matching question on the word-parallel
-// candidate adjacency with Hopcroft-Karp (O(E sqrt(V)) vs O(n^3)) — same
-// success set by construction. The paper's original Munkres formulation
+// question is answered as a perfect-matching question: the default path is
+// FastExactMapper's Hopcroft-Karp run on the word-parallel candidate
+// adjacency (O(E sqrt(V)) vs O(n^3)) — same success set by construction,
+// only the name differs. The paper's original Munkres formulation
 // (reference [21]) stays available behind an option as the runtime baseline
-// for the ablation benches.
+// for the ablation benches and the test reference.
 #pragma once
 
 #include "map/matching.hpp"
@@ -25,11 +26,11 @@ public:
   explicit ExactMapper(ExactMapperOptions opts = {}) : opts_(opts) {}
 
   std::string name() const override { return opts_.useMunkres ? "EA-munkres" : "EA"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                    MappingContext& ctx) const override;
 
 private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
+
   ExactMapperOptions opts_;
 };
 

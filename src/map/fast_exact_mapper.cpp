@@ -1,28 +1,15 @@
 #include "map/fast_exact_mapper.hpp"
 
-#include "util/error.hpp"
-
 namespace mcx {
 
-MappingResult FastExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample: full adjacency rebuild
-  return map(fm, cm, ctx);
-}
-
-MappingResult FastExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
-                                   MappingContext& ctx) const {
-  MCX_REQUIRE(fm.cols() == cm.cols(), "FastExactMapper: column count mismatch");
-  MappingResult result;
-  if (fm.rows() > cm.rows()) return result;
-
+MappingResult FastExactMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                       MappingContext& ctx) const {
   // Hopcroft-Karp runs directly on the bit adjacency; no per-edge adjacency
   // lists are materialized.
-  const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
-  FeasibleAssignment assignment = solveFeasibleAssignment(adjacency);
-  if (!assignment.success) return result;
-
+  MappingResult result;
+  FeasibleAssignment assignment = solveFeasibleAssignment(ctx.candidateAdjacency(fm.bits(), cm));
+  result.success = assignment.success;
   result.rowAssignment = std::move(assignment.assignment);
-  result.success = true;
   return result;
 }
 

@@ -14,9 +14,10 @@ namespace mcx {
 class FastExactMapper final : public IMapper {
 public:
   std::string name() const override { return "EA-fast"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                    MappingContext& ctx) const override;
+
+private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
 };
 
 }  // namespace mcx

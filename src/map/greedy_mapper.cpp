@@ -1,14 +1,10 @@
 #include "map/greedy_mapper.hpp"
 
-#include "util/error.hpp"
-
 namespace mcx {
 
-MappingResult GreedyMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MCX_REQUIRE(fm.cols() == cm.cols(), "GreedyMapper: column count mismatch");
+MappingResult GreedyMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                    MappingContext& /*ctx*/) const {
   MappingResult result;
-  if (fm.rows() > cm.rows()) return result;
-
   constexpr std::size_t kNone = MappingResult::kUnassigned;
   std::vector<std::size_t> fmToCm(fm.rows(), kNone);
   std::vector<bool> taken(cm.rows(), false);

@@ -10,7 +10,10 @@ namespace mcx {
 class GreedyMapper final : public IMapper {
 public:
   std::string name() const override { return "Greedy"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+
+private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
 };
 
 }  // namespace mcx

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <span>
 
-#include "util/error.hpp"
-
 namespace mcx {
 
 namespace {
@@ -105,17 +103,9 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency,
 
 }  // namespace
 
-MappingResult HybridMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample: full adjacency rebuild
-  return map(fm, cm, ctx);
-}
-
-MappingResult HybridMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
-                                MappingContext& ctx) const {
-  MCX_REQUIRE(fm.cols() == cm.cols(), "HybridMapper: column count mismatch");
+MappingResult HybridMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                    MappingContext& ctx) const {
   MappingResult result;
-  if (fm.rows() > cm.rows()) return result;
-
   const std::size_t P = fm.numProductRows();
 
   // One adjacency precompute serves the degree check, both phases, and the

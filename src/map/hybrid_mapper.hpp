@@ -32,11 +32,11 @@ public:
   explicit HybridMapper(HybridMapperOptions opts = {}) : opts_(opts) {}
 
   std::string name() const override { return opts_.backtracking ? "HBA" : "HBA-nobt"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                    MappingContext& ctx) const override;
 
 private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
+
   HybridMapperOptions opts_;
 };
 

@@ -274,6 +274,18 @@ FeasibleAssignment solveFeasibleAssignment(const BitMatrix& adjacency) {
   return result;
 }
 
+MappingResult IMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
+  MappingContext ctx;
+  return map(fm, cm, ctx);
+}
+
+MappingResult IMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
+                           MappingContext& ctx) const {
+  MCX_REQUIRE(fm.cols() == cm.cols(), name() + ": column count mismatch");
+  if (fm.rows() > cm.rows()) return {};
+  return mapRows(fm, cm, ctx);
+}
+
 bool verifyMapping(const FunctionMatrix& fm, const BitMatrix& cm, const MappingResult& result) {
   if (!result.success) return false;
   if (result.rowAssignment.size() != fm.rows()) return false;

@@ -191,23 +191,30 @@ bool verifyPartialMapping(const FunctionMatrix& fm, const BitMatrix& cm,
                           const MappingResult& result);
 
 /// Interface of all defect-tolerant mappers.
+///
+/// The two non-virtual map() entry points own the preconditions every
+/// mapper shares: the FM and CM must have the same column count (else
+/// InvalidArgument), and a CM with fewer rows than the FM fails without
+/// solving. Everything else is the mapper's mapRows().
 class IMapper {
 public:
   virtual ~IMapper() = default;
   virtual std::string name() const = 0;
-  /// Map the FM onto the CM (cm.rows() >= fm.rows(), same column count
-  /// unless the mapper documents otherwise).
-  virtual MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const = 0;
-  /// Context-aware overload for the Monte Carlo engine. Mappers that can
-  /// exploit per-experiment state (the incremental candidate adjacency)
-  /// override it; the default ignores the context. Must return exactly what
-  /// map(fm, cm) would — the context changes how the adjacency is built,
-  /// never its content.
-  virtual MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                            MappingContext& ctx) const {
-    (void)ctx;
-    return map(fm, cm);
-  }
+  /// Map the FM onto the CM with a fresh context (full adjacency rebuild,
+  /// no cancellation, no pool).
+  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const;
+  /// Context-aware entry for the Monte Carlo engine: the context supplies
+  /// the incremental candidate adjacency, the cancel token and the pool.
+  /// Returns exactly what map(fm, cm) would unless the token fires — the
+  /// context changes how the adjacency is built, never its content.
+  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm, MappingContext& ctx) const;
+
+private:
+  /// The mapper proper, called with equal column counts and
+  /// cm.rows() >= fm.rows(). Decorators pass @p ctx on to their inner
+  /// mapper.
+  virtual MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                MappingContext& ctx) const = 0;
 };
 
 }  // namespace mcx

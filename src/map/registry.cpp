@@ -13,34 +13,6 @@
 
 namespace mcx {
 
-namespace {
-
-/// Reject unrecognized spec members (same rationale as the scenario
-/// registry: a typo'd option would silently run the default mapper under
-/// the wrong label).
-void requireOnlyKeys(const SpecValue& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.members) {
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) throw ParseError("mapper spec: unknown member \"" + key + "\"");
-  }
-}
-
-std::string knownPresetNames() {
-  std::string known;
-  for (const MapperPreset& p : mapperPresets()) {
-    if (!known.empty()) known += ", ";
-    known += p.name;
-  }
-  return known;
-}
-
-}  // namespace
-
 const std::vector<MapperPreset>& mapperPresets() {
   static const std::vector<MapperPreset> presets = {
       {"hba", "the paper's hybrid algorithm (Algorithm 1) with backtracking",
@@ -85,48 +57,44 @@ const std::vector<MapperPreset>& mapperPresets() {
 }
 
 const MapperPreset* findMapperPreset(const std::string& name) {
-  for (const MapperPreset& preset : mapperPresets())
-    if (preset.name == name) return &preset;
-  return nullptr;
+  return findPreset(mapperPresets(), name);
 }
 
 std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
   if (!spec.isObject()) throw ParseError("mapper spec: expected a JSON object");
+  const auto onlyKeys = [&spec](std::initializer_list<const char*> allowed) {
+    requireOnlyKeys(spec, "mapper spec: ", allowed);
+  };
 
-  if (const SpecValue* preset = spec.find("preset")) {
-    requireOnlyKeys(spec, {"preset"});
-    if (preset->kind != SpecValue::Kind::String)
-      throw ParseError("mapper spec: \"preset\" must be a string");
-    const MapperPreset* found = findMapperPreset(preset->string);
-    if (found == nullptr)
-      throw ParseError("mapper spec: unknown preset \"" + preset->string + "\"");
-    return found->make();
+  if (spec.find("preset") != nullptr) {
+    onlyKeys({"preset"});
+    return requirePreset(mapperPresets(), spec.stringOr("preset", ""), "mapper").make();
   }
 
   const std::string mapper = spec.stringOr("mapper", "");
   if (mapper == "hba") {
-    requireOnlyKeys(spec, {"mapper", "backtracking", "sortByCandidates"});
+    onlyKeys({"mapper", "backtracking", "sortByCandidates"});
     HybridMapperOptions opts;
     opts.backtracking = spec.boolOr("backtracking", opts.backtracking);
     opts.sortByCandidates = spec.boolOr("sortByCandidates", opts.sortByCandidates);
     return std::make_shared<HybridMapper>(opts);
   }
   if (mapper == "ea") {
-    requireOnlyKeys(spec, {"mapper", "munkres"});
+    onlyKeys({"mapper", "munkres"});
     ExactMapperOptions opts;
     opts.useMunkres = spec.boolOr("munkres", opts.useMunkres);
     return std::make_shared<ExactMapper>(opts);
   }
   if (mapper == "fast-ea") {
-    requireOnlyKeys(spec, {"mapper"});
+    onlyKeys({"mapper"});
     return std::make_shared<FastExactMapper>();
   }
   if (mapper == "greedy") {
-    requireOnlyKeys(spec, {"mapper"});
+    onlyKeys({"mapper"});
     return std::make_shared<GreedyMapper>();
   }
   if (mapper == "sat") {
-    requireOnlyKeys(spec, {"mapper", "cubeDepth", "conflictLimit", "learn", "parallelCubes"});
+    onlyKeys({"mapper", "cubeDepth", "conflictLimit", "learn", "parallelCubes"});
     SatMapperOptions opts;
     const double depth = spec.numberOr("cubeDepth", static_cast<double>(opts.cubeDepth));
     if (!(depth >= 0.0) || depth > 16.0 || depth != std::floor(depth))
@@ -141,23 +109,17 @@ std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
     return std::make_shared<SatMapper>(opts);
   }
   if (mapper == "approx") {
-    requireOnlyKeys(spec, {"mapper", "inner", "epsilon"});
+    onlyKeys({"mapper", "inner", "epsilon"});
     ApproxMapperOptions opts;
     const double epsilon = spec.numberOr("epsilon", opts.epsilon);
     if (!(epsilon >= 0.0) || epsilon > 1.0)
       throw ParseError("mapper spec: \"epsilon\" must be in [0, 1]");
     opts.epsilon = epsilon;
-    std::shared_ptr<const IMapper> inner;
-    if (const SpecValue* innerSpec = spec.find("inner")) {
-      if (innerSpec->kind == SpecValue::Kind::String)
-        inner = makeMapper(innerSpec->string);
-      else
-        inner = mapperFromSpec(*innerSpec);
-    }
-    return std::make_shared<ApproxMapper>(opts, std::move(inner));
+    const SpecValue* inner = spec.find("inner");
+    return std::make_shared<ApproxMapper>(opts, inner ? makeMapper(*inner) : nullptr);
   }
   if (mapper == "colperm") {
-    requireOnlyKeys(spec, {"mapper", "restarts", "seed", "inner"});
+    onlyKeys({"mapper", "restarts", "seed", "inner"});
     ColumnPermutationOptions opts;
     const double restarts = spec.numberOr("restarts", static_cast<double>(opts.restarts));
     if (restarts < 0.0 || restarts > 1e6)
@@ -167,31 +129,21 @@ std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
     if (seed < 0.0 || seed > 9007199254740992.0)  // 2^53
       throw ParseError("mapper spec: \"seed\" must be an integer below 2^53");
     opts.seed = static_cast<std::uint64_t>(seed);
-    std::shared_ptr<const IMapper> inner;
-    if (const SpecValue* innerSpec = spec.find("inner")) {
-      if (innerSpec->kind == SpecValue::Kind::String)
-        inner = makeMapper(innerSpec->string);
-      else
-        inner = mapperFromSpec(*innerSpec);
-    }
-    return std::make_shared<ColumnPermutationMapper>(opts, std::move(inner));
+    const SpecValue* inner = spec.find("inner");
+    return std::make_shared<ColumnPermutationMapper>(opts, inner ? makeMapper(*inner) : nullptr);
   }
   throw ParseError("mapper spec: unknown mapper \"" + mapper + "\"");
 }
 
 std::shared_ptr<const IMapper> makeMapper(const std::string& nameOrSpec) {
-  std::size_t first = 0;
-  while (first < nameOrSpec.size() &&
-         (nameOrSpec[first] == ' ' || nameOrSpec[first] == '\t' || nameOrSpec[first] == '\n'))
-    ++first;
-  if (first < nameOrSpec.size() && nameOrSpec[first] == '{')
-    return mapperFromSpec(parseSpec(nameOrSpec));
+  if (isInlineSpec(nameOrSpec)) return mapperFromSpec(parseSpec(nameOrSpec));
+  return requirePreset(mapperPresets(), nameOrSpec, "mapper").make();
+}
 
-  const MapperPreset* preset = findMapperPreset(nameOrSpec);
-  if (preset == nullptr)
-    throw ParseError("unknown mapper \"" + nameOrSpec + "\" (known presets: " +
-                     knownPresetNames() + "; or pass a JSON spec)");
-  return preset->make();
+std::shared_ptr<const IMapper> makeMapper(const SpecValue& nameOrSpec) {
+  if (nameOrSpec.kind == SpecValue::Kind::String) return makeMapper(nameOrSpec.string);
+  if (!nameOrSpec.isObject()) throw ParseError("mapper spec: expected a name or a JSON object");
+  return mapperFromSpec(nameOrSpec);
 }
 
 }  // namespace mcx

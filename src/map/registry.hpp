@@ -45,8 +45,12 @@ const MapperPreset* findMapperPreset(const std::string& name);
 std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec);
 
 /// Resolve a mapper string: a preset name ("hba") or, when the string
-/// starts with '{', a JSON spec. Throws mcx::ParseError listing the known
-/// presets when the name is unknown.
+/// starts with '{' (after JSON whitespace), a JSON spec. Throws
+/// mcx::ParseError listing the known presets when the name is unknown.
 std::shared_ptr<const IMapper> makeMapper(const std::string& nameOrSpec);
+
+/// The same for a spec value: a string resolves as above, an object as
+/// mapperFromSpec (spec members such as "inner" take either form).
+std::shared_ptr<const IMapper> makeMapper(const SpecValue& nameOrSpec);
 
 }  // namespace mcx

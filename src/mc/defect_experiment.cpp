@@ -118,12 +118,14 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
     // rerun's, outcome-identical sample by sample (streams are pre-split).
     if (mapping.aborted) return;
 
-    if (mapping.success && config.verify)
+    // Every claimed success is verified against the matching rules (cheap),
+    // so an experiment cannot silently report invalid mappings. Graded
+    // partial mappings carry a physical claim too (the retained rows really
+    // fit their CM rows).
+    if (mapping.success)
       MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping),
                   "runDefectExperiment: mapper returned an invalid mapping");
-    // Graded partial mappings carry a physical claim too (the retained rows
-    // really fit their CM rows); check it under the same verify knob.
-    if (!mapping.success && !mapping.droppedRows.empty() && config.verify)
+    if (!mapping.success && !mapping.droppedRows.empty())
       MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping),
                   "runDefectExperiment: mapper returned an invalid partial mapping");
 

@@ -43,11 +43,6 @@ struct DefectExperimentConfig {
   /// Worker threads; 0 = hardware concurrency. Results do not depend on
   /// this knob (per-sample RNG streams are pre-split in sample order).
   std::size_t threads = 0;
-  /// Verify each claimed success against the matching rules (cheap; on by
-  /// default so experiments cannot silently report invalid mappings).
-  /// Graded partial mappings (droppedRows set) are checked with
-  /// verifyPartialMapping under the same knob.
-  bool verify = true;
   /// Graded acceptance budget (functional yield(ε)): a sample counts as
   /// epsilon-accepted iff its realized error — the mapper's explicit
   /// realizedError when measured, else the binary verdict — is <= epsilon.

@@ -160,14 +160,6 @@ NandNetwork mapToNand(const Cover& cover, const NandMapOptions& opts) {
   return net;
 }
 
-NandNetwork mapTreeToNand(const FactorTree& tree, std::size_t nin, const NandMapOptions& opts) {
-  NandNetwork net(nin);
-  TreeMapper mapper(net, opts.maxFanin);
-  const auto [gate, inverted] = mapper.emitOutput(tree);
-  net.addOutput(gate, inverted);
-  return net;
-}
-
 NandNetwork mapToNandBest(const Cover& cover, std::size_t maxFanin) {
   NandMapOptions flat;
   flat.factored = false;

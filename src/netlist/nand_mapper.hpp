@@ -37,10 +37,6 @@ struct NandMapOptions {
 /// architecture computes non-trivial functions.
 NandNetwork mapToNand(const Cover& cover, const NandMapOptions& opts = {});
 
-/// Map a single factor tree as output 0 of a fresh network over @p nin PIs.
-NandNetwork mapTreeToNand(const FactorTree& tree, std::size_t nin,
-                          const NandMapOptions& opts = {});
-
 /// Try the flat, quick-factored and kernel-factored mappings and keep the
 /// one with the smallest multi-level crossbar area (what a technology
 /// mapper like ABC effectively does). @p maxFanin as in NandMapOptions.

@@ -7,19 +7,11 @@
 
 namespace mcx {
 
-MappingResult SatMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample or execution state
-  return map(fm, cm, ctx);
-}
-
-MappingResult SatMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
-                             MappingContext& ctx) const {
-  MCX_REQUIRE(fm.cols() == cm.cols(), "SatMapper: column count mismatch");
+MappingResult SatMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                                 MappingContext& ctx) const {
   faultinject::onSite("sat.solve");
 
   MappingResult result;
-  if (fm.rows() > cm.rows()) return result;
-
   const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
   const sat::MatchingCnf enc = sat::encodeMatching(adjacency);
   if (enc.trivialUnsat) return result;  // an FM row with zero candidates
@@ -29,8 +21,7 @@ MappingResult SatMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
   base.learn = options_.learn;
   base.cancel = ctx.cancelToken();
 
-  ExecutorPool* pool = options_.pool;
-  if (pool == nullptr && options_.parallelCubes) pool = ctx.pool();
+  ExecutorPool* pool = options_.parallelCubes ? ctx.pool() : nullptr;
 
   const std::vector<sat::Cube> cubes = sat::generateCubes(enc, options_.cubeDepth);
   sat::CubeOutcome outcome = sat::solveCubes(enc.cnf, cubes, base, pool);

@@ -38,10 +38,8 @@ struct SatMapperOptions {
   /// Farm cubes onto the MappingContext's ExecutorPool. Off by default:
   /// the Monte Carlo engine already saturates the pool with samples, so
   /// per-cube jobs only add queue churn there; turn it on for single-shot
-  /// solves (or pass an explicit pool below).
+  /// solves (register the pool with MappingContext::setExecution).
   bool parallelCubes = false;
-  /// Explicit pool override for programmatic use; beats parallelCubes.
-  ExecutorPool* pool = nullptr;
 };
 
 class SatMapper final : public IMapper {
@@ -50,13 +48,13 @@ public:
   explicit SatMapper(const SatMapperOptions& options) : options_(options) {}
 
   std::string name() const override { return "SAT"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                    MappingContext& ctx) const override;
 
   const SatMapperOptions& options() const { return options_; }
 
 private:
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext& ctx) const override;
+
   SatMapperOptions options_;
 };
 

@@ -8,15 +8,6 @@
 
 namespace mcx::sat {
 
-const char* verdictLabel(Verdict v) {
-  switch (v) {
-    case Verdict::Sat: return "sat";
-    case Verdict::Unsat: return "unsat";
-    case Verdict::Unknown: break;
-  }
-  return "unknown";
-}
-
 namespace {
 
 constexpr std::int32_t kNoReason = -1;

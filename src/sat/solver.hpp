@@ -22,9 +22,6 @@ namespace mcx::sat {
 
 enum class Verdict { Sat, Unsat, Unknown };
 
-/// "sat" / "unsat" / "unknown" — for bench tables and logs.
-const char* verdictLabel(Verdict v);
-
 struct SolverOptions {
   /// Give up (Verdict::Unknown, interrupted=false) after this many
   /// conflicts; 0 = unlimited. The budget is part of the deterministic

@@ -47,21 +47,6 @@ std::shared_ptr<const DefectModel> makeComposite(double rate) {
       });
 }
 
-/// Reject unrecognized spec members: a typo'd parameter would otherwise be
-/// silently dropped and the default scenario would run under the wrong
-/// label (the same rationale as the typed accessors in spec.hpp).
-void requireOnlyKeys(const SpecValue& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.members) {
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) throw ParseError("scenario spec: unknown member \"" + key + "\"");
-  }
-}
-
 }  // namespace
 
 const std::vector<ScenarioPreset>& scenarioPresets() {
@@ -85,37 +70,34 @@ const std::vector<ScenarioPreset>& scenarioPresets() {
 }
 
 const ScenarioPreset* findScenarioPreset(const std::string& name) {
-  for (const ScenarioPreset& preset : scenarioPresets())
-    if (preset.name == name) return &preset;
-  return nullptr;
+  return findPreset(scenarioPresets(), name);
 }
 
 std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
   if (!spec.isObject()) throw ParseError("scenario spec: expected a JSON object");
+  const auto onlyKeys = [&spec](std::initializer_list<const char*> allowed) {
+    requireOnlyKeys(spec, "scenario spec: ", allowed);
+  };
 
-  if (const SpecValue* preset = spec.find("preset")) {
-    requireOnlyKeys(spec, {"preset", "rate"});
-    if (preset->kind != SpecValue::Kind::String)
-      throw ParseError("scenario spec: \"preset\" must be a string");
-    const ScenarioPreset* found = findScenarioPreset(preset->string);
-    if (found == nullptr)
-      throw ParseError("scenario spec: unknown preset \"" + preset->string + "\"");
-    return found->make(spec.numberOr("rate", 0.10));
+  if (spec.find("preset") != nullptr) {
+    onlyKeys({"preset", "rate"});
+    return requirePreset(scenarioPresets(), spec.stringOr("preset", ""), "scenario")
+        .make(spec.numberOr("rate", 0.10));
   }
 
   const std::string model = spec.stringOr("model", "");
   if (model == "iid") {
-    requireOnlyKeys(spec, {"model", "open", "closed"});
+    onlyKeys({"model", "open", "closed"});
     return std::make_shared<IidBernoulli>(spec.numberOr("open", 0.10),
                                           spec.numberOr("closed", 0.0));
   }
   if (model == "iid-sparse") {
-    requireOnlyKeys(spec, {"model", "open", "closed"});
+    onlyKeys({"model", "open", "closed"});
     return std::make_shared<SparseIidBernoulli>(spec.numberOr("open", 0.10),
                                                 spec.numberOr("closed", 0.0));
   }
   if (model == "clustered") {
-    requireOnlyKeys(spec, {"model", "density", "spread", "closedShare"});
+    onlyKeys({"model", "density", "spread", "closedShare"});
     ClusteredDefects::Params p;
     p.clusterDensity = spec.numberOr("density", p.clusterDensity);
     p.spread = spec.numberOr("spread", p.spread);
@@ -123,7 +105,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     return std::make_shared<ClusteredDefects>(p);
   }
   if (model == "lines") {
-    requireOnlyKeys(spec, {"model", "rowClosed", "colClosed", "rowOpen", "colOpen"});
+    onlyKeys({"model", "rowClosed", "colClosed", "rowOpen", "colOpen"});
     LineCorrelated::Params p;
     p.rowStuckClosedRate = spec.numberOr("rowClosed", 0.0);
     p.colStuckClosedRate = spec.numberOr("colClosed", 0.0);
@@ -132,7 +114,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     return std::make_shared<LineCorrelated>(p);
   }
   if (model == "gradient") {
-    requireOnlyKeys(spec, {"model", "center", "edge", "closedShare"});
+    onlyKeys({"model", "center", "edge", "closedShare"});
     RadialGradient::Params p;
     p.centerRate = spec.numberOr("center", p.centerRate);
     p.edgeRate = spec.numberOr("edge", p.edgeRate);
@@ -140,7 +122,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     return std::make_shared<RadialGradient>(p);
   }
   if (model == "composite") {
-    requireOnlyKeys(spec, {"model", "label", "parts"});
+    onlyKeys({"model", "label", "parts"});
     const SpecValue* parts = spec.find("parts");
     if (parts == nullptr || !parts->isArray() || parts->array.empty())
       throw ParseError("scenario spec: composite needs a non-empty \"parts\" array");
@@ -154,24 +136,15 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
 }
 
 std::shared_ptr<const DefectModel> makeScenario(const std::string& nameOrSpec, double rate) {
-  std::size_t first = 0;
-  while (first < nameOrSpec.size() &&
-         (nameOrSpec[first] == ' ' || nameOrSpec[first] == '\t' || nameOrSpec[first] == '\n'))
-    ++first;
-  if (first < nameOrSpec.size() && nameOrSpec[first] == '{')
-    return modelFromSpec(parseSpec(nameOrSpec));
+  if (isInlineSpec(nameOrSpec)) return modelFromSpec(parseSpec(nameOrSpec));
+  return requirePreset(scenarioPresets(), nameOrSpec, "scenario").make(rate);
+}
 
-  const ScenarioPreset* preset = findScenarioPreset(nameOrSpec);
-  if (preset == nullptr) {
-    std::string known;
-    for (const ScenarioPreset& p : scenarioPresets()) {
-      if (!known.empty()) known += ", ";
-      known += p.name;
-    }
-    throw ParseError("unknown scenario \"" + nameOrSpec + "\" (known presets: " + known +
-                     "; or pass a JSON spec)");
-  }
-  return preset->make(rate);
+std::shared_ptr<const DefectModel> makeScenario(const SpecValue& nameOrSpec, double rate) {
+  if (nameOrSpec.kind == SpecValue::Kind::String) return makeScenario(nameOrSpec.string, rate);
+  if (!nameOrSpec.isObject())
+    throw ParseError("scenario spec: expected a name or a JSON object");
+  return modelFromSpec(nameOrSpec);
 }
 
 const std::vector<double>& standardRateGrid() {

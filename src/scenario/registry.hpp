@@ -45,9 +45,15 @@ const ScenarioPreset* findScenarioPreset(const std::string& name);
 std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec);
 
 /// Resolve a scenario string: a preset name ("paper-iid", built at
-/// @p rate) or, when the string starts with '{', a JSON spec (in which case
-/// @p rate is ignored — the spec carries its own parameters).
+/// @p rate) or, when the string starts with '{' (after JSON whitespace), a
+/// JSON spec (in which case @p rate is ignored — the spec carries its own
+/// parameters).
 std::shared_ptr<const DefectModel> makeScenario(const std::string& nameOrSpec,
+                                                double rate = 0.10);
+
+/// The same for a spec value: a string resolves as above, an object as
+/// modelFromSpec.
+std::shared_ptr<const DefectModel> makeScenario(const SpecValue& nameOrSpec,
                                                 double rate = 0.10);
 
 /// The defect-rate grid shared by the rate-sweep benches and the scenario

@@ -8,6 +8,8 @@ namespace mcx {
 
 namespace {
 
+bool isJsonSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
 class Parser {
 public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -29,10 +31,7 @@ private:
   }
 
   void skipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
+    while (pos_ < text_.size() && isJsonSpace(text_[pos_])) ++pos_;
   }
 
   char peek() {
@@ -226,5 +225,20 @@ bool SpecValue::boolOr(const std::string& key, bool fallback) const {
 }
 
 SpecValue parseSpec(const std::string& text) { return Parser(text).parseDocument(); }
+
+bool isInlineSpec(const std::string& text) {
+  std::size_t first = 0;
+  while (first < text.size() && isJsonSpace(text[first])) ++first;
+  return first < text.size() && text[first] == '{';
+}
+
+void requireOnlyKeys(const SpecValue& spec, const std::string& prefix,
+                     std::initializer_list<const char*> allowed) {
+  for (const auto& [key, value] : spec.members) {
+    bool known = false;
+    for (const char* name : allowed) known = known || key == name;
+    if (!known) throw ParseError(prefix + "unknown member \"" + key + "\"");
+  }
+}
 
 }  // namespace mcx

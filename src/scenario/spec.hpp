@@ -8,9 +8,12 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace mcx {
 
@@ -42,5 +45,40 @@ struct SpecValue {
 /// Parse a complete JSON document; throws mcx::ParseError on malformed
 /// input or trailing garbage.
 SpecValue parseSpec(const std::string& text);
+
+// The name-or-spec resolution the mapper, scenario and circuit registries
+// (and the serve request parser) share.
+
+/// True when @p text is an inline JSON spec: its first character after
+/// JSON whitespace (space, tab, LF, CR) is '{'.
+bool isInlineSpec(const std::string& text);
+
+/// Reject object members not in @p allowed with ParseError
+/// "<prefix>unknown member \"key\"": a typo'd option would otherwise be
+/// silently dropped and the default would run under the wrong label.
+void requireOnlyKeys(const SpecValue& spec, const std::string& prefix,
+                     std::initializer_list<const char*> allowed);
+
+/// The entry named @p name of a preset list (any type with a `name`), or
+/// nullptr.
+template <typename Preset>
+const Preset* findPreset(const std::vector<Preset>& presets, const std::string& name) {
+  for (const Preset& preset : presets)
+    if (preset.name == name) return &preset;
+  return nullptr;
+}
+
+/// The entry named @p name; otherwise throws ParseError
+/// "unknown <kind> \"name\" (known presets: a, b, ...; <otherwise>)".
+template <typename Preset>
+const Preset& requirePreset(const std::vector<Preset>& presets, const std::string& name,
+                            const std::string& kind,
+                            const std::string& otherwise = "or pass a JSON spec") {
+  if (const Preset* found = findPreset(presets, name)) return *found;
+  std::string known;
+  for (const Preset& preset : presets) known += (known.empty() ? "" : ", ") + preset.name;
+  throw ParseError("unknown " + kind + " \"" + name + "\" (known presets: " + known + "; " +
+                   otherwise + ")");
+}
 
 }  // namespace mcx

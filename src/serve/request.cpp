@@ -48,23 +48,6 @@ double rateOr(const SpecValue& doc, const std::string& key, double fallback) {
   return value;
 }
 
-const char* const kKnownMembers[] = {"id",     "circuit",    "mapper",     "scenario",
-                                     "rate",   "open",       "closed",     "samples",
-                                     "seed",   "spare_rows", "multilevel", "deadline_ms",
-                                     "cache",  "lane",       "epsilon"};
-
-void rejectUnknownMembers(const SpecValue& doc) {
-  for (const auto& [name, value] : doc.members) {
-    bool known = false;
-    for (const char* member : kKnownMembers)
-      if (name == member) {
-        known = true;
-        break;
-      }
-    if (!known) failParse("unknown member \"" + name + "\"");
-  }
-}
-
 std::string idOf(const SpecValue& doc) {
   const SpecValue* v = doc.find("id");
   if (v == nullptr) return "";
@@ -99,33 +82,24 @@ Request parseRequest(const std::string& line, const RequestLimits& limits) {
     failParse(e.what());
   }
   if (!doc.isObject()) failParse("request must be a JSON object");
-  rejectUnknownMembers(doc);
 
   Request req;
-  req.id = idOf(doc);
-
   // Resolution goes through the exact registries the builder uses; their
-  // ParseErrors (unknown preset, malformed spec, bad option) become the
-  // service's `parse` taxonomy code.
+  // ParseErrors (unknown member or preset, malformed spec, bad option)
+  // become the service's `parse` taxonomy code.
   try {
+    requireOnlyKeys(doc, "",
+                    {"id", "circuit", "mapper", "scenario", "rate", "open", "closed", "samples",
+                     "seed", "spare_rows", "multilevel", "deadline_ms", "cache", "lane",
+                     "epsilon"});
+    req.id = idOf(doc);
+
     const SpecValue* circuit = doc.find("circuit");
     if (circuit == nullptr) failParse("member \"circuit\" is required");
-    if (circuit->kind == SpecValue::Kind::String)
-      req.circuit = makeCircuitSpec(circuit->string);
-    else if (circuit->isObject())
-      req.circuit = circuitSpecFromSpec(*circuit);
-    else
-      failParse("member \"circuit\" must be a string or an object");
+    req.circuit = makeCircuitSpec(*circuit);
 
     const SpecValue* mapper = doc.find("mapper");
-    if (mapper == nullptr)
-      req.mapper = makeMapper("hba");
-    else if (mapper->kind == SpecValue::Kind::String)
-      req.mapper = makeMapper(mapper->string);
-    else if (mapper->isObject())
-      req.mapper = mapperFromSpec(*mapper);
-    else
-      failParse("member \"mapper\" must be a string or an object");
+    req.mapper = mapper == nullptr ? makeMapper("hba") : makeMapper(*mapper);
 
     const double rate = rateOr(doc, "rate", 0.10);
     const SpecValue* scenario = doc.find("scenario");
@@ -137,12 +111,7 @@ Request parseRequest(const std::string& line, const RequestLimits& limits) {
     } else {
       if (doc.find("open") != nullptr || doc.find("closed") != nullptr)
         failParse("members \"open\"/\"closed\" require the legacy path (no \"scenario\")");
-      if (scenario->kind == SpecValue::Kind::String)
-        req.scenario = makeScenario(scenario->string, rate);
-      else if (scenario->isObject())
-        req.scenario = modelFromSpec(*scenario);
-      else
-        failParse("member \"scenario\" must be a string or an object");
+      req.scenario = makeScenario(*scenario, rate);
       req.scenarioLabel = req.scenario->describe();
     }
   } catch (const ServeError&) {

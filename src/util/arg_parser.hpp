@@ -4,8 +4,8 @@
 // ignore unknown flags); ArgParser centralizes it: typed value flags bound
 // to variables, boolean switches, value callbacks for list-style flags,
 // positional arguments, a generated --help, and hard errors on unknown
-// flags or malformed values. Numeric parsing follows util/cli.hpp: full-
-// string std::from_chars, so "--samples 12abc" is rejected, not truncated.
+// flags or malformed values. Numeric parsing is full-string
+// std::from_chars, so "--samples 12abc" is rejected, not truncated.
 #pragma once
 
 #include <charconv>

@@ -3,25 +3,24 @@
 #include <gtest/gtest.h>
 
 #include "assign/munkres.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mcx {
 namespace {
 
 TEST(HopcroftKarp, EmptyGraph) {
-  const BipartiteGraph g(3, 3);
+  const BitMatrix g(3, 3);
   const MatchingResult r = hopcroftKarp(g);
   EXPECT_EQ(r.size, 0u);
   EXPECT_FALSE(r.perfectForLeft(3));
 }
 
 TEST(HopcroftKarp, PerfectMatchingOnPermutation) {
-  BipartiteGraph g(4, 4);
-  g.addEdge(0, 2);
-  g.addEdge(1, 0);
-  g.addEdge(2, 3);
-  g.addEdge(3, 1);
+  BitMatrix g(4, 4);
+  g.set(0, 2);
+  g.set(1, 0);
+  g.set(2, 3);
+  g.set(3, 1);
   const MatchingResult r = hopcroftKarp(g);
   EXPECT_EQ(r.size, 4u);
   EXPECT_TRUE(r.perfectForLeft(4));
@@ -30,10 +29,10 @@ TEST(HopcroftKarp, PerfectMatchingOnPermutation) {
 
 TEST(HopcroftKarp, AugmentingPathNeeded) {
   // 0-{0,1}, 1-{0}: greedy 0->0 must be undone.
-  BipartiteGraph g(2, 2);
-  g.addEdge(0, 0);
-  g.addEdge(0, 1);
-  g.addEdge(1, 0);
+  BitMatrix g(2, 2);
+  g.set(0, 0);
+  g.set(0, 1);
+  g.set(1, 0);
   const MatchingResult r = hopcroftKarp(g);
   EXPECT_EQ(r.size, 2u);
   EXPECT_EQ(r.matchOfLeft[0], 1u);
@@ -42,41 +41,35 @@ TEST(HopcroftKarp, AugmentingPathNeeded) {
 
 TEST(HopcroftKarp, DetectsHallViolation) {
   // Three left vertices share two right neighbors.
-  BipartiteGraph g(3, 3);
+  BitMatrix g(3, 3);
   for (std::size_t l = 0; l < 3; ++l) {
-    g.addEdge(l, 0);
-    g.addEdge(l, 1);
+    g.set(l, 0);
+    g.set(l, 1);
   }
   const MatchingResult r = hopcroftKarp(g);
   EXPECT_EQ(r.size, 2u);
 }
 
 TEST(HopcroftKarp, RectangularRightSurplus) {
-  BipartiteGraph g(2, 5);
-  g.addEdge(0, 4);
-  g.addEdge(1, 4);
-  g.addEdge(1, 2);
+  BitMatrix g(2, 5);
+  g.set(0, 4);
+  g.set(1, 4);
+  g.set(1, 2);
   const MatchingResult r = hopcroftKarp(g);
   EXPECT_EQ(r.size, 2u);
   EXPECT_TRUE(r.perfectForLeft(2));
-}
-
-TEST(HopcroftKarp, EdgeValidation) {
-  BipartiteGraph g(2, 2);
-  EXPECT_THROW(g.addEdge(2, 0), InvalidArgument);
-  EXPECT_THROW(g.addEdge(0, 2), InvalidArgument);
 }
 
 TEST(HopcroftKarp, AgreesWithMunkresFeasibilityOnRandom) {
   Rng rng(77);
   for (int rep = 0; rep < 200; ++rep) {
     const std::size_t n = 2 + static_cast<std::size_t>(rng.uniformInt(0, 8));
-    BipartiteGraph g(n, n);
+    BitMatrix g(n, n);
     CostMatrix cost(n, n, 1);
     for (std::size_t l = 0; l < n; ++l)
       for (std::size_t r = 0; r < n; ++r)
         if (rng.bernoulli(0.35)) {
-          g.addEdge(l, r);
+          g.set(l, r);
           cost.at(l, r) = 0;
         }
     const bool hkPerfect = hopcroftKarp(g).perfectForLeft(n);
@@ -116,24 +109,6 @@ TEST(HopcroftKarp, WarmStartMatchesColdStartSize) {
   }
 }
 
-TEST(HopcroftKarp, ListGraphWarmStartMatchesColdStartSize) {
-  // Same warm/cold size invariance on the adjacency-list overload (which
-  // also warm-starts by default).
-  Rng rng(92);
-  for (int rep = 0; rep < 100; ++rep) {
-    const std::size_t rows = 1 + rng.uniformInt(0, 30);
-    const std::size_t cols = 1 + rng.uniformInt(0, 40);
-    BipartiteGraph g(rows, cols);
-    const double density = rng.uniform() * 0.6;
-    for (std::size_t l = 0; l < rows; ++l)
-      for (std::size_t r = 0; r < cols; ++r)
-        if (rng.bernoulli(density)) g.addEdge(l, r);
-    const MatchingResult cold = hopcroftKarp(g, /*warmStart=*/false);
-    const MatchingResult warm = hopcroftKarp(g);
-    EXPECT_EQ(warm.size, cold.size) << "rep=" << rep;
-  }
-}
-
 TEST(HopcroftKarp, WarmStartPerfectOnCleanAdjacency) {
   // All-ones adjacency (the clean crossbar): the greedy seed alone is a
   // perfect matching and no augmentation phases run.
@@ -145,12 +120,12 @@ TEST(HopcroftKarp, WarmStartPerfectOnCleanAdjacency) {
 
 TEST(HopcroftKarp, MatchingIsConsistent) {
   Rng rng(78);
-  BipartiteGraph g(40, 50);
+  BitMatrix g(40, 50);
   std::vector<std::vector<bool>> adj(40, std::vector<bool>(50, false));
   for (std::size_t l = 0; l < 40; ++l)
     for (std::size_t r = 0; r < 50; ++r)
       if (rng.bernoulli(0.2)) {
-        g.addEdge(l, r);
+        g.set(l, r);
         adj[l][r] = true;
       }
   const MatchingResult m = hopcroftKarp(g);

@@ -5,10 +5,27 @@
 #include "logic/generators.hpp"
 #include "map/greedy_mapper.hpp"
 #include "logic/sop_parser.hpp"
+#include "mc/cancel.hpp"
+#include "sat/sat_mapper.hpp"
 #include "xbar/defects.hpp"
 
 namespace mcx {
 namespace {
+
+/// Inner mapper that reports an abort on every call and counts the calls.
+class AbortingMapper final : public IMapper {
+public:
+  std::string name() const override { return "Aborting"; }
+  mutable std::size_t calls = 0;
+
+private:
+  MappingResult mapRows(const FunctionMatrix&, const BitMatrix&, MappingContext&) const override {
+    ++calls;
+    MappingResult aborted;
+    aborted.aborted = true;
+    return aborted;
+  }
+};
 
 TEST(ColumnPermutationMapper, CleanCrossbarUsesIdentity) {
   const FunctionMatrix fm = buildFunctionMatrix(parseSop("x1 x2 + !x3"));
@@ -56,6 +73,33 @@ TEST(ColumnPermutationMapper, CustomInnerMapper) {
   const ColumnPermutationMapper mapper({}, std::make_shared<GreedyMapper>());
   EXPECT_EQ(mapper.name(), "ColPerm+Greedy");
   EXPECT_TRUE(mapper.map(fm, cm).success);
+}
+
+TEST(ColumnPermutationMapper, InnerMapperSeesTheContextCancelToken) {
+  const FunctionMatrix fm = buildFunctionMatrix(parseSop("x1 x2 + !x3"));
+  const BitMatrix cm(fm.rows(), fm.cols(), true);
+  CancelToken fired;
+  fired.cancel();
+  MappingContext ctx;
+  ctx.setExecution(&fired, nullptr);
+  const MappingResult satAlone = SatMapper().map(fm, cm, ctx);
+  EXPECT_TRUE(satAlone.aborted);
+
+  const ColumnPermutationMapper colPerm({}, std::make_shared<SatMapper>());
+  const MappingResult r = colPerm.map(fm, cm, ctx);
+  EXPECT_TRUE(r.aborted);
+  EXPECT_FALSE(r.success);
+}
+
+TEST(ColumnPermutationMapper, InnerAbortEndsTheSearchWithoutRestarts) {
+  const FunctionMatrix fm = buildFunctionMatrix(parseSop("x1 x2 + !x3"));
+  const BitMatrix cm(fm.rows(), fm.cols(), true);
+  const auto inner = std::make_shared<AbortingMapper>();
+  ColumnPermutationOptions opts;
+  opts.restarts = 20;
+  const MappingResult r = ColumnPermutationMapper(opts, inner).map(fm, cm);
+  EXPECT_TRUE(r.aborted);
+  EXPECT_EQ(inner->calls, 1u);
 }
 
 TEST(ColumnPermutationMapper, StatisticallyBeatsPlainHybrid) {

@@ -66,6 +66,30 @@ TEST(MapperRegistry, SpecErrorPaths) {
   EXPECT_THROW(makeMapper(R"([1, 2])"), ParseError);
 }
 
+TEST(MapperRegistry, EveryPresetSharesTheEntryPreconditions) {
+  // IMapper::map owns them for every mapper: a column mismatch throws, and a
+  // CM with fewer rows than the FM fails without throwing, with or without
+  // an engine context.
+  const FunctionMatrix fm = buildFunctionMatrix(parseSop("x1 x2 + !x2 x3 + x1 !x3"));
+  const BitMatrix wrongCols(fm.rows(), fm.cols() + 1, true);
+  const BitMatrix tooFewRows(fm.rows() - 1, fm.cols(), true);
+  for (const MapperPreset& preset : mapperPresets()) {
+    const std::shared_ptr<const IMapper> mapper = preset.make();
+    MappingContext ctx;
+    EXPECT_THROW(mapper->map(fm, wrongCols), InvalidArgument) << preset.name;
+    EXPECT_THROW(mapper->map(fm, wrongCols, ctx), InvalidArgument) << preset.name;
+    for (const bool withContext : {false, true}) {
+      MappingResult r;
+      EXPECT_NO_THROW(r = withContext ? mapper->map(fm, tooFewRows, ctx)
+                                      : mapper->map(fm, tooFewRows))
+          << preset.name;
+      EXPECT_FALSE(r.success) << preset.name;
+      EXPECT_FALSE(r.aborted) << preset.name;
+      EXPECT_TRUE(r.rowAssignment.empty()) << preset.name;
+    }
+  }
+}
+
 TEST(MapperRegistry, RegistryMappersActuallyMap) {
   // Every preset must produce a working mapper on a clean crossbar.
   const FunctionMatrix fm =
