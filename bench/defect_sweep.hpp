@@ -50,7 +50,7 @@ inline SweepOutcome runThreadsSweep(const FunctionMatrix& fm, const IMapper& map
   cfg.timePerSample = true;  // the benches report the paper's "Time" column
   json.beginObject();
   json.field("mapper", mapper.name());
-  json.field("scenario", cfg.model ? cfg.model->describe() : std::string("iid (legacy rates)"));
+  json.field("scenario", cfg.model ? cfg.model->describe() : std::string(kLegacyRatesLabel));
   json.key("runs").beginArray();
   for (const std::size_t threads : sweep) {
     cfg.threads = threads;

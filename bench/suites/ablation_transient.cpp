@@ -10,6 +10,7 @@
 #include "api/driver.hpp"
 #include "benchdata/registry.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "sim/transient_faults.hpp"
 #include "util/text_table.hpp"
 #include "xbar/layout.hpp"
@@ -39,7 +40,7 @@ int runTransient(const std::vector<std::string>& args) {
     DefectMap defects;
     for (int attempt = 0; attempt < 50 && !mapping.success; ++attempt) {
       Rng sample = rng.split();
-      defects = DefectMap::sample(layout.fm.rows(), layout.fm.cols(), 0.05, 0.0, sample);
+      defects = IidBernoulli(0.05).sample(layout.fm.rows(), layout.fm.cols(), sample);
       mapping = HybridMapper().map(layout.fm, crossbarMatrix(defects));
     }
     if (!mapping.success) {

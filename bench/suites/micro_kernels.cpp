@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the library's hot kernels:
-// row matching, matching-matrix construction, Munkres, tautology checking,
-// complement, ISOP, espresso, factoring, end-to-end HBA/EA mapping, and the
-// three layers of the Monte Carlo hot path (legacy vs sparse sampling, full
-// vs incremental adjacency, cold vs warm-started Hopcroft-Karp) on the bw
+// row matching, Munkres, tautology checking, complement, ISOP, espresso,
+// factoring, end-to-end HBA/EA mapping, and the three layers of the Monte
+// Carlo hot path (legacy vs sparse sampling, pairwise fit tests vs the
+// context's CM-transpose adjacency, cold vs warm-started Hopcroft-Karp) on the bw
 // multi-level workload at the paper's 10% stuck-open rate, plus the
 // memoized synthesis front-end (full pipeline compile vs cache hit), and
 // the telemetry layer's own overhead (counter adds, histogram records,
@@ -50,7 +50,7 @@ void BM_RowMatching(benchmark::State& state) {
   const Cover cover = benchCover(14, static_cast<std::size_t>(state.range(0)));
   const FunctionMatrix fm = buildFunctionMatrix(cover);
   Rng rng(2);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -59,19 +59,6 @@ void BM_RowMatching(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RowMatching)->Arg(64)->Arg(256);
-
-void BM_MatchingMatrix(benchmark::State& state) {
-  const Cover cover = benchCover(12, static_cast<std::size_t>(state.range(0)));
-  const FunctionMatrix fm = buildFunctionMatrix(cover);
-  Rng rng(3);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
-  const BitMatrix cm = crossbarMatrix(defects);
-  std::vector<std::size_t> rows(fm.rows());
-  for (std::size_t r = 0; r < fm.rows(); ++r) rows[r] = r;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(buildMatchingMatrix(fm.bits(), rows, cm, rows));
-}
-BENCHMARK(BM_MatchingMatrix)->Arg(64)->Arg(256);
 
 void BM_Munkres(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -131,9 +118,8 @@ void BM_SamplerLegacy(benchmark::State& state) {
   const IidBernoulli model(0.10, 0.0);
   Rng rng(6);
   DefectMap map;
-  DirtyRows dirty;
   for (auto _ : state) {
-    model.generateTracked(fm.rows(), fm.cols(), rng, map, dirty);
+    model.generate(fm.rows(), fm.cols(), rng, map);
     benchmark::DoNotOptimize(map);
   }
 }
@@ -144,9 +130,8 @@ void BM_SamplerSparse(benchmark::State& state) {
   const SparseIidBernoulli model(0.10, 0.0);
   Rng rng(6);
   DefectMap map;
-  DirtyRows dirty;
   for (auto _ : state) {
-    model.generateTracked(fm.rows(), fm.cols(), rng, map, dirty);
+    model.generate(fm.rows(), fm.cols(), rng, map);
     benchmark::DoNotOptimize(map);
   }
 }
@@ -158,27 +143,20 @@ void BM_AdjacencyFull(benchmark::State& state) {
   const SparseIidBernoulli model(0.10, 0.0);
   const DefectMap defects = model.sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
-  BitMatrix adjacency;
-  for (auto _ : state) {
-    buildCandidateAdjacencyInto(fm.bits(), cm, adjacency);
-    benchmark::DoNotOptimize(adjacency);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(buildCandidateAdjacency(fm.bits(), cm));
 }
 BENCHMARK(BM_AdjacencyFull);
 
-void BM_AdjacencyIncremental(benchmark::State& state) {
+void BM_AdjacencyContext(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
   Rng rng(6);
   const SparseIidBernoulli model(0.10, 0.0);
-  DefectMap defects;
-  DirtyRows dirty;
-  model.generateTracked(fm.rows(), fm.cols(), rng, defects, dirty);
+  const DefectMap defects = model.sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   MappingContext ctx;
-  ctx.setSample(&defects, &dirty);
   for (auto _ : state) benchmark::DoNotOptimize(ctx.candidateAdjacency(fm.bits(), cm));
 }
-BENCHMARK(BM_AdjacencyIncremental);
+BENCHMARK(BM_AdjacencyContext);
 
 void BM_MatchingColdStart(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
@@ -208,7 +186,7 @@ void BM_MapHba(benchmark::State& state) {
   const BenchmarkCircuit bench = loadBenchmarkFast("alu4");
   const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
   Rng rng(5);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   const HybridMapper mapper;
   for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));
@@ -219,7 +197,7 @@ void BM_MapEa(benchmark::State& state) {
   const BenchmarkCircuit bench = loadBenchmarkFast("alu4");
   const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
   Rng rng(5);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   const ExactMapper mapper;
   for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));

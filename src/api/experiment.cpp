@@ -206,7 +206,7 @@ ExperimentResult ExperimentBuilder::run() const {
   }
 
   result.mapper = mapper_->name();
-  result.scenario = config_.model ? scenarioLabel_ : std::string("iid (legacy rates)");
+  result.scenario = config_.model ? scenarioLabel_ : std::string(kLegacyRatesLabel);
   result.rows = fm.rows();
   result.cols = fm.cols();
 

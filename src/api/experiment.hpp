@@ -49,7 +49,7 @@ struct ExperimentResult {
   std::string circuit;
   std::string circuitSpec;    ///< canonical pipeline declaration ("" for raw FMs)
   std::string mapper;
-  std::string scenario;       ///< model description, or "iid (legacy rates)"
+  std::string scenario;       ///< model description, or kLegacyRatesLabel
   std::size_t rows = 0;
   std::size_t cols = 0;
   DefectExperimentConfig config;    ///< the resolved engine configuration

@@ -1,9 +1,7 @@
 #include "circuit/cache.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "circuit/registry.hpp"
@@ -15,25 +13,13 @@ namespace mcx {
 
 namespace {
 
-std::string readFileBytes(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw ParseError("cannot open PLA file: " + path);
-  std::ostringstream bytes;
-  bytes << file.rdbuf();
-  return bytes.str();
-}
-
-}  // namespace
-
-namespace {
-
 /// Source bytes behind the declaration: file content for File sources, the
 /// exact cube-list serialization for Cover sources; empty otherwise
 /// (registry/generator names and inline text are in the canonical string).
 std::string contentSuffix(const CircuitSpec& spec) {
   switch (spec.source) {
     case CircuitSpec::Source::File:
-      return '\n' + readFileBytes(spec.name);
+      return '\n' + readPlaFileBytes(spec.name);
     case CircuitSpec::Source::Cover:
       MCX_REQUIRE(spec.cover.has_value(), "circuit spec: Cover source without a cover");
       // Serialized fresh on every lookup: a cached serialization living

@@ -1,8 +1,8 @@
 #include "circuit/spec.hpp"
 
 #include <charconv>
-#include <fstream>
 
+#include "logic/pla.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
@@ -161,8 +161,7 @@ CircuitSpec circuitSourceSpec(const std::string& source) {
     spec.name = source.substr(5);
     if (spec.name.empty()) throw ParseError("circuit spec: empty file: path");
     // Fail at declaration time, not deep inside an experiment run.
-    std::ifstream probe(spec.name);
-    if (!probe) throw ParseError("circuit spec: cannot open PLA file: " + spec.name);
+    readPlaFileBytes(spec.name);
     return spec;
   }
   if (source.starts_with("pla:")) {

@@ -1,6 +1,8 @@
 #include "logic/pla.hpp"
 
 #include <charconv>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -173,10 +175,32 @@ PlaFile parsePlaString(const std::string& text) {
   return parsePla(is);
 }
 
-PlaFile readPlaFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw ParseError("cannot open PLA file: " + path);
-  return parsePla(f);
+PlaFile readPlaFile(const std::string& path) { return parsePlaString(readPlaFileBytes(path)); }
+
+std::string readPlaFileBytes(const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  if (ec || !std::filesystem::exists(status)) throw ParseError("cannot open PLA file: " + path);
+  if (!std::filesystem::is_regular_file(status))
+    throw ParseError("PLA file is not a regular file: " + path);
+  const auto tooLarge = [&] {
+    return ParseError("PLA file exceeds " + std::to_string(kMaxPlaFileBytes) +
+                      " bytes: " + path);
+  };
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) throw ParseError("cannot open PLA file: " + path);
+  if (size > kMaxPlaFileBytes) throw tooLarge();
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw ParseError("cannot open PLA file: " + path);
+  // The cap holds on the bytes actually read too: the file may grow after
+  // the size check.
+  std::string bytes;
+  char chunk[1 << 14];
+  while (file.read(chunk, sizeof chunk) || file.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(file.gcount()));
+    if (bytes.size() > kMaxPlaFileBytes) throw tooLarge();
+  }
+  return bytes;
 }
 
 std::string writePla(const PlaFile& pla) {

@@ -10,6 +10,7 @@
 // that parses at all parses exactly.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -30,7 +31,18 @@ struct PlaFile {
 /// Parse PLA text. Throws ParseError on malformed input.
 PlaFile parsePla(std::istream& in);
 PlaFile parsePlaString(const std::string& text);
+/// readPlaFileBytes + parsePlaString.
 PlaFile readPlaFile(const std::string& path);
+
+/// Largest PLA file readPlaFileBytes accepts.
+inline constexpr std::size_t kMaxPlaFileBytes = std::size_t{16} << 20;
+
+/// The bytes of the PLA file at @p path: the one reader behind every
+/// file: circuit (declaration check, cache key, parse). Throws ParseError
+/// when the path is not a regular file (checked before opening, so a FIFO
+/// cannot block and a device cannot stream forever), cannot be read, or
+/// holds more than kMaxPlaFileBytes.
+std::string readPlaFileBytes(const std::string& path);
 
 /// Serialize as type-fd PLA (ON cubes, then DC cubes rendered with '-'
 /// outputs if present).

@@ -109,8 +109,7 @@ MappingResult HybridMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& c
   const std::size_t P = fm.numProductRows();
 
   // One adjacency precompute serves the degree check, both phases, and the
-  // backtracking probes (O(1) bit tests afterwards); the context rebuilds
-  // it incrementally from the sample's dirty rows when it can.
+  // backtracking probes (O(1) bit tests afterwards).
   const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
   std::vector<std::size_t> candidates(fm.rows());
   for (std::size_t r = 0; r < fm.rows(); ++r) {

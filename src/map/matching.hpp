@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -27,52 +26,27 @@ class ExecutorPool;
 bool rowMatches(const BitMatrix& fm, std::size_t fmRow, const BitMatrix& cm, std::size_t cmRow);
 
 /// Candidate adjacency of the matching problem: bit (i, j) set iff FM row i
-/// fits CM row j. Computed once per defect sample with the word-parallel
-/// rowSubsetOf and shared by every downstream consumer (degree checks,
-/// Hopcroft-Karp, cost-matrix construction).
+/// fits CM row j, by the word-parallel fit test of every pair. The
+/// reference for MappingContext::candidateAdjacency, which every mapper
+/// uses.
 BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
-/// In-place variant of buildCandidateAdjacency: identical bits, but reuses
-/// @p out's allocation (the Monte Carlo scratch-arena entry point).
-void buildCandidateAdjacencyInto(const BitMatrix& fm, const BitMatrix& cm, BitMatrix& out);
-
-/// Subset variant: bit (i, j) set iff FM row fmRows[i] fits CM row cmRows[j].
-BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const std::vector<std::size_t>& fmRows,
-                                  const BitMatrix& cm, const std::vector<std::size_t>& cmRows);
-
-/// Per-experiment scratch for the Monte Carlo mapping hot path.
+/// Per-worker scratch of the mapping hot path: the candidate adjacency
+/// buffer plus the engine's cancellation token and pool.
 ///
-/// The clean crossbar's candidate adjacency is all-ones by construction
-/// (every FM row fits a defect-free CM row), so a sample's adjacency only
-/// differs where its defects bite. When the engine registers the sample's
-/// DefectMap and DirtyRows (setSample), candidateAdjacency() derives each
-/// adjacency row directly from the defects: FM row i loses exactly the CM
-/// rows that have a stuck-open defect in one of i's required columns, so
-/// with the defect matrix transposed once per sample (64x64 bit-block
-/// transpose) row i is the complement of the union of its columns' defect
-/// masks — O(fmOnes x cmRowWords) word ops per sample instead of the full
-/// rebuild's O(fmRows x cmRows x colWords) fit tests. Stuck-closed
-/// poisoning is layered on top: a poisoned CM row is erased for every
-/// non-empty FM row (word-parallel mask) and a poisoned CM column erases
-/// every FM row requiring it (column->rows index built once per FM). Dense
-/// models (DirtyRows in markAll mode) and unregistered calls fall back to
-/// the full word-parallel rebuild. Both paths produce bit-identical
-/// adjacencies — the fast path changes how, never what.
-///
-/// Contract: the registered DefectMap must be the one @p cm was derived
-/// from (crossbarMatrixInto). The per-FM index is cached on an (address,
-/// dims, content hash) key, so switching function matrices — even one
-/// reallocated at the same address — rebinds automatically; keeping one
-/// context per function matrix (as the engine does, one per worker per
-/// experiment) just avoids the rebuild churn.
+/// The adjacency is read off the CM alone. Stuck-open crosspoints are 0 in
+/// the CM, and stuck-closed ones have already zeroed their row and column
+/// (Fig. 8), so nothing else about the sample is needed. The CM is
+/// transposed once per call (64x64 bit-block transpose), and adjacency row
+/// i is the AND of the transposed rows of FM row i's required columns (all
+/// ones for an FM row with no required column). That is rowSubsetOf for
+/// every pair, so the result is bit-identical to buildCandidateAdjacency,
+/// in O(fmOnes x cmRowWords) word ops instead of its
+/// O(fmRows x cmRows x colWords).
 class MappingContext {
 public:
-  /// Register the sample behind the next candidateAdjacency() call; null
-  /// pointers force the full rebuild. The pointees must outlive the call.
-  void setSample(const DefectMap* defects, const DirtyRows* dirty) {
-    defects_ = defects;
-    dirty_ = dirty;
-  }
+  /// No-op: perfbench compiles against this.
+  void setSample(const DefectMap*, const DirtyRows*) {}
 
   /// Register the engine's cancellation token and worker pool so
   /// context-aware mappers with internal search (the SAT backend) can poll
@@ -91,41 +65,15 @@ public:
   const BitMatrix& candidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
 private:
-  void bindFm(const BitMatrix& fm);
-
-  const DefectMap* defects_ = nullptr;
-  const DirtyRows* dirty_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   ExecutorPool* pool_ = nullptr;
-
-  // Column -> FM rows index (CSR, for poisoned-column erasure) plus the
-  // all-zero FM rows, built once per bound function matrix.
-  const BitMatrix* fmKey_ = nullptr;
-  std::size_t fmRowsKey_ = 0, fmColsKey_ = 0;
-  std::uint64_t fmHashKey_ = 0;
-  std::size_t fmOnes_ = 0;
-  std::vector<std::uint32_t> colOffsets_;
-  std::vector<std::uint32_t> colRows_;
-  std::vector<unsigned char> fmRowEmpty_;
-
-  // Per-sample scratch: transposed stuck-open matrix, defect-mask union,
-  // poison masks, and the adjacency itself.
-  BitMatrix openT_;
-  std::vector<BitMatrix::Word> unionScratch_;
-  std::vector<BitMatrix::Word> poisonRowMask_;
-  std::vector<BitMatrix::Word> poisonColMask_;
+  BitMatrix cmT_;  ///< row c: the CM rows functional at column c
   BitMatrix adjacency_;
 };
 
-/// The paper's "matching matrix" as a Munkres cost matrix: entry 0 where
-/// FM row fmRows[i] fits CM row cmRows[j], 1 otherwise. A zero-cost perfect
-/// assignment is exactly a valid mapping of the selected rows.
-CostMatrix buildMatchingMatrix(const BitMatrix& fm, const std::vector<std::size_t>& fmRows,
-                               const BitMatrix& cm, const std::vector<std::size_t>& cmRows);
-
-/// Overload for a precomputed candidate adjacency: cost 0 where the bit is
-/// set, 1 otherwise. Lets callers that already hold the adjacency skip the
-/// per-pair subset tests.
+/// The paper's "matching matrix" as a Munkres cost matrix, from a candidate
+/// adjacency: cost 0 where the bit is set (the FM row fits the CM row), 1
+/// otherwise. A zero-cost perfect assignment is exactly a valid mapping.
 CostMatrix buildMatchingMatrix(const BitMatrix& adjacency);
 
 /// A solved 0/1 feasibility matching (the unweighted special case of the
@@ -200,13 +148,12 @@ class IMapper {
 public:
   virtual ~IMapper() = default;
   virtual std::string name() const = 0;
-  /// Map the FM onto the CM with a fresh context (full adjacency rebuild,
-  /// no cancellation, no pool).
+  /// Map the FM onto the CM with a fresh context (no cancellation, no
+  /// pool).
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const;
   /// Context-aware entry for the Monte Carlo engine: the context supplies
-  /// the incremental candidate adjacency, the cancel token and the pool.
-  /// Returns exactly what map(fm, cm) would unless the token fires — the
-  /// context changes how the adjacency is built, never its content.
+  /// the reused adjacency buffer, the cancel token and the pool. Returns
+  /// exactly what map(fm, cm) would unless the token fires.
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm, MappingContext& ctx) const;
 
 private:

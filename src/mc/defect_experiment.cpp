@@ -72,15 +72,12 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   std::vector<PerSample> outcomes(config.samples);
   if (config.keepMappings) result.mappings.resize(config.samples);
 
-  // Per-worker scratch arenas: the DefectMap, dirty-row report, crossbar
-  // BitMatrix, and mapping-context buffers are reused across every sample a
-  // worker processes. The context turns each sample's dirty rows into an
-  // incremental candidate-adjacency rebuild (bit-identical to the full
-  // one), so results stay independent of the thread count and of whether a
-  // mapper takes the context path at all.
+  // Per-worker scratch arenas: the DefectMap, crossbar BitMatrix, and
+  // mapping-context buffers are reused across every sample a worker
+  // processes. Each sample's outcome depends only on its own stream, so
+  // results stay independent of the thread count.
   struct Scratch {
     DefectMap defects;
-    DirtyRows dirty;
     BitMatrix cm;
     MappingContext ctx;
   };
@@ -97,9 +94,8 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
 
     Scratch& sc = scratch[worker];
     Rng sampleRng = streams[s];
-    model->generateTracked(rows, fm.cols(), sampleRng, sc.defects, sc.dirty);
+    model->generate(rows, fm.cols(), sampleRng, sc.defects);
     crossbarMatrixInto(sc.defects, sc.cm);
-    sc.ctx.setSample(&sc.defects, &sc.dirty);
     sc.ctx.setExecution(token, pool);
 
     double sec = 0;

@@ -30,6 +30,11 @@ namespace mcx {
 
 class ExecutorPool;
 
+/// Scenario label of the null model (the legacy rate pair, used when
+/// DefectExperimentConfig::model is unset) in results, service responses
+/// and the committed BENCH files.
+inline constexpr char kLegacyRatesLabel[] = "iid (legacy rates)";
+
 struct DefectExperimentConfig {
   std::size_t samples = 200;       ///< the paper's sample size
   double stuckOpenRate = 0.10;     ///< the paper's Table II rate

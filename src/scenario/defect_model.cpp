@@ -1,6 +1,8 @@
 #include "scenario/defect_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -30,12 +32,6 @@ DefectMap DefectModel::sample(std::size_t rows, std::size_t cols, Rng& rng) cons
   return map;
 }
 
-void DefectModel::generateTracked(std::size_t rows, std::size_t cols, Rng& rng,
-                                  DefectMap& out, DirtyRows& dirty) const {
-  generate(rows, cols, rng, out);
-  dirty.scan(out);
-}
-
 // ----------------------------------------------------------- IidBernoulli
 
 IidBernoulli::IidBernoulli(double stuckOpenRate, double stuckClosedRate)
@@ -50,9 +46,34 @@ std::string IidBernoulli::describe() const {
 
 void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                             DefectMap& out) const {
-  // Delegate to the paper's sampler: the scenario API must be draw-for-draw
-  // identical to the legacy rate-pair path.
-  out.resample(rows, cols, open_, closed_, rng);
+  out.reshape(rows, cols);
+  // One uniform per crosspoint, row-major: u = k * 2^-53 with k = draw >> 11
+  // (Rng::uniform), and since p * 2^53 is exact, u < p <=> k < ceil(p * 2^53).
+  // Integer thresholds make every map bit-identical to comparing uniforms.
+  const auto threshold = [](double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  };
+  const std::uint64_t tOpen = threshold(open_);
+  const std::uint64_t tAny = threshold(open_ + closed_);
+  // A local generator keeps its state in registers: the word stores below
+  // could otherwise alias it.
+  Rng local = rng;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto open = out.mutableOpenBits().rowWords(r);
+    const auto closed = out.mutableClosedBits().rowWords(r);
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      const std::size_t bits = std::min(BitMatrix::kWordBits, cols - i * BitMatrix::kWordBits);
+      BitMatrix::Word openWord = 0, anyWord = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        const std::uint64_t k = local() >> 11;
+        openWord |= BitMatrix::Word{k < tOpen} << b;
+        anyWord |= BitMatrix::Word{k < tAny} << b;
+      }
+      open[i] = openWord;
+      closed[i] = anyWord & ~openWord;
+    }
+  }
+  rng = local;
 }
 
 // ---------------------------------------------------- SparseIidBernoulli
@@ -67,30 +88,14 @@ std::string SparseIidBernoulli::describe() const {
 
 void SparseIidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                                   DefectMap& out) const {
-  sampleSparse(rows, cols, rng, out, nullptr);
-}
-
-void SparseIidBernoulli::generateTracked(std::size_t rows, std::size_t cols, Rng& rng,
-                                         DefectMap& out, DirtyRows& dirty) const {
-  sampleSparse(rows, cols, rng, out, &dirty);
-}
-
-void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& rng,
-                                      DefectMap& out, DirtyRows* dirty) const {
   const double total = stuckOpenRate() + stuckClosedRate();
   if (total > kDenseRateCutoff) {
     // Dense regime: the distinct-site rejection loop would redraw too
     // often; the parent's one-draw-per-crosspoint sweep wins.
-    out.resample(rows, cols, stuckOpenRate(), stuckClosedRate(), rng);
-    if (dirty != nullptr) dirty->scan(out);
+    IidBernoulli::generate(rows, cols, rng, out);
     return;
   }
   out.reshape(rows, cols);
-  if (dirty != nullptr) {
-    dirty->all = false;
-    dirty->rows.clear();
-    dirty->stuckOpen = dirty->stuckClosed = 0;
-  }
   if (rows == 0 || cols == 0 || total <= 0.0) return;
 
   // Draw order (fixed by rows/cols and the rates alone): one uniform for
@@ -152,10 +157,6 @@ void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& r
       break;
     }
   }
-  // Defect sites arrive in random order; recover the sorted dirty-row list
-  // with a word-level scan of the finished map (O(area/64), far below the
-  // sampling cost it replaces).
-  if (dirty != nullptr) dirty->scan(out);
 }
 
 // -------------------------------------------------------- ClusteredDefects

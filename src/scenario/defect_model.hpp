@@ -40,23 +40,23 @@ public:
   virtual void generate(std::size_t rows, std::size_t cols, Rng& rng,
                         DefectMap& out) const = 0;
 
-  /// generate() plus a report of the touched crossbar-matrix rows, the
-  /// input of the incremental-adjacency fast path (MappingContext). Same
-  /// draw sequence as generate() — the Monte Carlo engine may call either
-  /// for a sample without perturbing the stream. The default derives the
-  /// dirty set from the finished map with a word-level scan; sparse models
-  /// override to report the rows they touched directly.
-  virtual void generateTracked(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
-                               DirtyRows& dirty) const;
+  /// generate() under its former name: perfbench compiles against this.
+  void generateTracked(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
+                       DirtyRows&) const {
+    generate(rows, cols, rng, out);
+  }
 
   /// Convenience wrapper over generate() for non-scratch-arena callers.
   DefectMap sample(std::size_t rows, std::size_t cols, Rng& rng) const;
 };
 
-/// The paper's model: every crosspoint fails independently at flat
-/// stuck-open / stuck-closed rates. Draw-for-draw identical to
-/// DefectMap::resample, so experiments routed through the scenario API
-/// reproduce the pre-scenario engine exactly.
+/// The paper's model ("assigning an independent defect probability/rate to
+/// each crosspoint that shows a uniform distribution"): every crosspoint
+/// fails independently at flat stuck-open / stuck-closed rates. One
+/// uniform per crosspoint, row-major: stuck-open below the open rate,
+/// stuck-closed below the summed rate. The engine's null model (the legacy
+/// rate pair) is this class, so the committed legacy-rate counts pin its
+/// draw sequence.
 class IidBernoulli : public DefectModel {
 public:
   explicit IidBernoulli(double stuckOpenRate, double stuckClosedRate = 0.0);
@@ -94,12 +94,6 @@ public:
   std::string name() const override { return "iid-sparse"; }
   std::string describe() const override;
   void generate(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) const override;
-  void generateTracked(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
-                       DirtyRows& dirty) const override;
-
-private:
-  void sampleSparse(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
-                    DirtyRows* dirty) const;
 };
 
 /// Particle-induced clusters: seed points land uniformly (expected

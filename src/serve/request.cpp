@@ -5,6 +5,7 @@
 
 #include "circuit/registry.hpp"
 #include "map/registry.hpp"
+#include "mc/defect_experiment.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
@@ -107,7 +108,7 @@ Request parseRequest(const std::string& line, const RequestLimits& limits) {
       req.scenario = nullptr;  // legacy rate-pair path
       req.legacyOpen = rateOr(doc, "open", rate);
       req.legacyClosed = rateOr(doc, "closed", 0.0);
-      req.scenarioLabel = "iid (legacy rates)";
+      req.scenarioLabel = kLegacyRatesLabel;
     } else {
       if (doc.find("open") != nullptr || doc.find("closed") != nullptr)
         failParse("members \"open\"/\"closed\" require the legacy path (no \"scenario\")");

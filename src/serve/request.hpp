@@ -63,7 +63,7 @@ struct Request {
   std::shared_ptr<const IMapper> mapper;
   /// Null = the legacy i.i.d. rate-pair path (open/closed below).
   std::shared_ptr<const DefectModel> scenario;
-  std::string scenarioLabel;  ///< for the response ("iid (legacy rates)" when null)
+  std::string scenarioLabel;  ///< for the response (kLegacyRatesLabel when null)
   double legacyOpen = 0.10;
   double legacyClosed = 0.0;
   std::size_t samples = 200;

@@ -11,41 +11,15 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "util/bit_matrix.hpp"
-#include "util/rng.hpp"
 
 namespace mcx {
 
 enum class DefectType : unsigned char { None, StuckOpen, StuckClosed };
 
-class DefectMap;
-
-/// Sparse description of how a defect sample perturbs the clean crossbar:
-/// which crossbar-matrix rows can differ from the all-functional (all-ones)
-/// row, plus the sample's defect counts. Produced by DefectModels alongside
-/// the DefectMap so the mapping hot path can rebuild only what the sample
-/// actually touched (see MappingContext in map/matching.hpp).
-struct DirtyRows {
-  /// Conservative mode: treat every row as dirty (rows is then ignored).
-  bool all = true;
-  /// Rows containing at least one defect, ascending, unique. Only
-  /// meaningful when !all.
-  std::vector<std::size_t> rows;
-  std::size_t stuckOpen = 0;    ///< stuck-open defects in the sample
-  std::size_t stuckClosed = 0;  ///< stuck-closed defects in the sample
-
-  void markAll() {
-    all = true;
-    rows.clear();
-    stuckOpen = stuckClosed = 0;
-  }
-  /// Derive the exact dirty set from a finished map (a word-level row scan,
-  /// O(area/64) — the model-agnostic fallback behind
-  /// DefectModel::generateTracked).
-  void scan(const DefectMap& map);
-};
+/// Empty: perfbench compiles against this.
+struct DirtyRows {};
 
 class DefectMap {
 public:
@@ -79,20 +53,9 @@ public:
   BitMatrix& mutableOpenBits() { return open_; }
   BitMatrix& mutableClosedBits() { return closed_; }
 
-  /// Independent uniform per-crosspoint sampling (the paper's defect
-  /// generation: "assigning an independent defect probability/rate to each
-  /// crosspoint that shows a uniform distribution").
-  static DefectMap sample(std::size_t rows, std::size_t cols, double stuckOpenRate,
-                          double stuckClosedRate, Rng& rng);
-
-  /// In-place variant of sample(): identical draw sequence, but reuses the
-  /// existing bit buffers (per-thread scratch arenas in the Monte Carlo
-  /// engine avoid a pair of allocations per sample).
-  void resample(std::size_t rows, std::size_t cols, double stuckOpenRate,
-                double stuckClosedRate, Rng& rng);
-
   /// Resize to rows x cols with every crosspoint functional, reusing the
-  /// existing allocations (scratch-arena entry point for DefectModels).
+  /// existing allocations (scratch-arena entry point for DefectModels,
+  /// which draw every sample; see scenario/defect_model.hpp).
   void reshape(std::size_t rows, std::size_t cols);
 
   /// Union this map with @p other (same dimensions): a crosspoint is

@@ -164,7 +164,6 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndSatGroundTruth) {
   std::vector<std::size_t> outputRows;
   for (std::size_t o = 0; o < fm.numOutputRows(); ++o)
     outputRows.push_back(fm.rowOfOutput(o));
-  std::vector<std::size_t> allCmRows(0);
   std::size_t partials = 0;
   std::size_t satChecked = 0;
   // The per-cube conflict budget idiom of the optimality suite: feasible
@@ -211,13 +210,12 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndSatGroundTruth) {
     // matchable...
     if (satChecked >= kMaxSatChecks) return;
     ++satChecked;
-    if (allCmRows.size() != cm.rows()) {
-      allCmRows.resize(cm.rows());
-      for (std::size_t r = 0; r < cm.rows(); ++r) allCmRows[r] = r;
-    }
     std::vector<std::size_t> fmRows = retainedRows;
     fmRows.insert(fmRows.end(), outputRows.begin(), outputRows.end());
-    const BitMatrix subsetAdj = buildCandidateAdjacency(fm.bits(), fmRows, cm, allCmRows);
+    const BitMatrix fullAdj = buildCandidateAdjacency(fm.bits(), cm);
+    BitMatrix subsetAdj(fmRows.size(), cm.rows());
+    for (std::size_t i = 0; i < fmRows.size(); ++i)
+      for (std::size_t j = 0; j < cm.rows(); ++j) subsetAdj.set(i, j, fullAdj.test(fmRows[i], j));
     sat::MatchingCnf subsetEnc = sat::encodeMatching(subsetAdj);
     ASSERT_FALSE(subsetEnc.trivialUnsat);
     sat::SolverOptions options;
@@ -226,7 +224,6 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndSatGroundTruth) {
               sat::Verdict::Sat)
         << "retained rows must be matchable";
     // ...and the full row set must never be proven matchable.
-    const BitMatrix fullAdj = buildCandidateAdjacency(fm.bits(), cm);
     sat::MatchingCnf fullEnc = sat::encodeMatching(fullAdj);
     if (!fullEnc.trivialUnsat) {
       EXPECT_NE(sat::solveCubes(fullEnc.cnf, sat::generateCubes(fullEnc, 2), options).verdict,

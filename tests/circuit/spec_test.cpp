@@ -26,6 +26,13 @@ TEST(CircuitSpec, SourceStringForms) {
   EXPECT_EQ(bare.name, "rd53");
 }
 
+TEST(CircuitSpec, FileSourceRejectsNonRegularFiles) {
+  // A device never ends and a FIFO blocks on open: both are refused by a
+  // stat before any read, at declaration time.
+  EXPECT_THROW(makeCircuitSpec("file:/dev/zero"), ParseError);
+  EXPECT_THROW(makeCircuitSpec("file:" + ::testing::TempDir()), ParseError);  // a directory
+}
+
 TEST(CircuitSpec, SourceStringErrors) {
   EXPECT_THROW(circuitSourceSpec("file:"), ParseError);                 // empty path
   EXPECT_THROW(circuitSourceSpec("file:/nonexistent/x.pla"), ParseError);

@@ -31,7 +31,7 @@ TEST(Integration, Rd53FullTwoLevelPipeline) {
   for (int rep = 0; rep < 30 && mapped < 5; ++rep) {
     Rng sample = rng.split();
     const DefectMap defects =
-        DefectMap::sample(layout.fm.rows(), layout.fm.cols(), 0.05, 0.0, sample);
+        IidBernoulli(0.05).sample(layout.fm.rows(), layout.fm.cols(), sample);
     const MappingResult r = HybridMapper().map(layout.fm, crossbarMatrix(defects));
     if (!r.success) continue;
     ++mapped;

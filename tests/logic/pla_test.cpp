@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "logic/truth_table.hpp"
 #include "util/error.hpp"
 
@@ -152,6 +156,22 @@ TEST(Pla, RoundTripPreservesDcSet) {
 
 TEST(Pla, MissingFileThrows) {
   EXPECT_THROW(readPlaFile("/nonexistent/file.pla"), ParseError);
+}
+
+TEST(Pla, ReaderRefusesDevicesAndOversizedFiles) {
+  EXPECT_THROW(readPlaFileBytes("/dev/zero"), ParseError);
+  EXPECT_THROW(readPlaFile("/dev/zero"), ParseError);
+  // A sparse file one byte over the cap: refused by its size, unread.
+  const std::string path = ::testing::TempDir() + "/mcx_pla_oversized.pla";
+  std::ofstream(path).close();
+  std::filesystem::resize_file(path, kMaxPlaFileBytes + 1);
+  try {
+    readPlaFileBytes(path);
+    ADD_FAILURE() << "an oversized PLA file was read";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "logic/sop_parser.hpp"
 #include "mc/cancel.hpp"
 #include "sat/sat_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "xbar/defects.hpp"
 
 namespace mcx {
@@ -116,7 +117,7 @@ TEST(ColumnPermutationMapper, StatisticallyBeatsPlainHybrid) {
   const ColumnPermutationMapper colPerm;
   for (int rep = 0; rep < 60; ++rep) {
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.18, 0.0, sample);
+    const DefectMap defects = IidBernoulli(0.18).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     hbaWins += hba.map(fm, cm).success ? 1 : 0;
     const MappingResult r = colPerm.map(fm, cm);

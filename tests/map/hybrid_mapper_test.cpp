@@ -6,6 +6,7 @@
 
 #include "logic/generators.hpp"
 #include "logic/sop_parser.hpp"
+#include "scenario/defect_model.hpp"
 #include "xbar/defects.hpp"
 
 namespace mcx {
@@ -89,7 +90,7 @@ TEST(HybridMapper, ResultsAlwaysVerifyOnRandomDefects) {
   std::size_t successes = 0;
   for (int rep = 0; rep < 100; ++rep) {
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.08, 0.0, sample);
+    const DefectMap defects = IidBernoulli(0.08).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     const MappingResult r = HybridMapper().map(fm, cm);
     if (r.success) {

@@ -10,6 +10,7 @@
 #include "map/exact_mapper.hpp"
 #include "map/greedy_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "xbar/defects.hpp"
 #include "xbar/function_matrix.hpp"
 
@@ -34,7 +35,7 @@ std::vector<Instance> randomInstances(std::size_t count, double defectRate, std:
     FunctionMatrix fm = buildFunctionMatrix(cover);
     Rng sampleRng = rng.split();
     const DefectMap defects =
-        DefectMap::sample(fm.rows(), fm.cols(), defectRate, 0.0, sampleRng);
+        IidBernoulli(defectRate).sample(fm.rows(), fm.cols(), sampleRng);
     instances.push_back({std::move(fm), crossbarMatrix(defects)});
   }
   return instances;

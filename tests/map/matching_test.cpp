@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "logic/generators.hpp"
 #include "logic/sop_parser.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/rng.hpp"
@@ -27,7 +31,7 @@ TEST(MatchingMatrix, ZeroMeansCompatible) {
   fm.set(0, 0);
   fm.set(1, 2);
   cm.reset(0, 0);  // kills fm row 0 on cm row 0
-  const CostMatrix m = buildMatchingMatrix(fm, {0, 1}, cm, {0, 1});
+  const CostMatrix m = buildMatchingMatrix(buildCandidateAdjacency(fm, cm));
   EXPECT_EQ(m.at(0, 0), 1);
   EXPECT_EQ(m.at(0, 1), 0);
   EXPECT_EQ(m.at(1, 0), 0);
@@ -35,14 +39,16 @@ TEST(MatchingMatrix, ZeroMeansCompatible) {
 }
 
 TEST(MatchingMatrix, RowSubsets) {
+  // A sub-problem (FM row 2 against CM rows 0 and 2) reads its costs off
+  // the full matrix.
   BitMatrix fm(3, 2), cm(3, 2, true);
   fm.set(2, 1);
   cm.reset(0, 1);
-  const CostMatrix m = buildMatchingMatrix(fm, {2}, cm, {0, 2});
-  EXPECT_EQ(m.rows(), 1u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_EQ(m.at(0, 0), 1);
-  EXPECT_EQ(m.at(0, 1), 0);
+  const CostMatrix m = buildMatchingMatrix(buildCandidateAdjacency(fm, cm));
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_EQ(m.at(2, 0), 1);
+  EXPECT_EQ(m.at(2, 2), 0);
 }
 
 TEST(VerifyMapping, AcceptsValidRejectsInvalid) {
@@ -115,15 +121,12 @@ TEST(MatchingMatrix, AdjacencyOverloadMatchesDirectConstruction) {
     for (std::size_t c = 0; c < fm.cols(); ++c) fm.set(r, c, rng.bernoulli(0.3));
   for (std::size_t r = 0; r < cm.rows(); ++r)
     for (std::size_t c = 0; c < cm.cols(); ++c) cm.set(r, c, rng.bernoulli(0.7));
-  std::vector<std::size_t> fmRows{0, 1, 2, 3}, cmRows{0, 1, 2, 3, 4, 5};
-  const CostMatrix direct = buildMatchingMatrix(fm, fmRows, cm, cmRows);
-  const CostMatrix viaAdj =
-      buildMatchingMatrix(buildCandidateAdjacency(fm, fmRows, cm, cmRows));
-  ASSERT_EQ(direct.rows(), viaAdj.rows());
-  ASSERT_EQ(direct.cols(), viaAdj.cols());
-  for (std::size_t i = 0; i < direct.rows(); ++i)
-    for (std::size_t j = 0; j < direct.cols(); ++j)
-      EXPECT_EQ(direct.at(i, j), viaAdj.at(i, j));
+  const CostMatrix viaAdj = buildMatchingMatrix(buildCandidateAdjacency(fm, cm));
+  ASSERT_EQ(viaAdj.rows(), fm.rows());
+  ASSERT_EQ(viaAdj.cols(), cm.rows());
+  for (std::size_t i = 0; i < fm.rows(); ++i)
+    for (std::size_t j = 0; j < cm.rows(); ++j)
+      EXPECT_EQ(viaAdj.at(i, j), rowMatches(fm, i, cm, j) ? 0 : 1);
 }
 
 TEST(FeasibleAssignment, HopcroftKarpAgreesWithMunkresOnRandomMatrices) {
@@ -159,12 +162,12 @@ TEST(FeasibleAssignment, HopcroftKarpAgreesWithMunkresOnRandomMatrices) {
 }
 
 TEST(CandidateAdjacency, ZeroColumnRowsFitEverything) {
-  // Empty rows are subsets of anything: both overloads must agree.
+  // Empty rows are subsets of anything: the oracle and the context agree.
   const BitMatrix fm(3, 0), cm(4, 0);
   const BitMatrix full = buildCandidateAdjacency(fm, cm);
   EXPECT_EQ(full.count(), 3u * 4u);
-  const BitMatrix subset = buildCandidateAdjacency(fm, {0, 2}, cm, {1, 3});
-  EXPECT_EQ(subset.count(), 2u * 2u);
+  MappingContext ctx;
+  EXPECT_EQ(ctx.candidateAdjacency(fm, cm), full);
 }
 
 TEST(FeasibleAssignment, EmptyRowFailsBeforeSolving) {
@@ -178,80 +181,95 @@ TEST(FeasibleAssignment, MoreRowsThanColumnsIsInfeasible) {
   EXPECT_FALSE(solveFeasibleAssignment(adjacency).success);
 }
 
-// --- MappingContext: incremental adjacency ---------------------------------
+// --- MappingContext: the adjacency read off the CM -------------------------
+
+BitMatrix randomBits(std::size_t rows, std::size_t cols, double density, Rng& rng) {
+  BitMatrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      if (rng.bernoulli(density)) m.set(r, c);
+  return m;
+}
 
 TEST(MappingContext, IncrementalAdjacencyBitIdenticalToFullRebuild) {
-  // The context's defect-driven rebuild must agree with the full
-  // word-parallel fit-test build on every sample — including stuck-closed
-  // poisoning, empty FM rows, and dimensions straddling word boundaries.
+  // The context's CM-transpose build must agree with the pairwise fit-test
+  // oracle on any (fm, cm): CMs derived from defect samples (stuck-closed
+  // poisoning included) and CMs that come from no DefectMap, empty FM rows,
+  // zero-column FMs, and dimensions straddling word boundaries.
   Rng rng(53);
+  MappingContext reused;  // one context across every shape below
+  const auto expectOracle = [&](const BitMatrix& fm, const BitMatrix& cm,
+                                const std::string& where) {
+    const BitMatrix full = buildCandidateAdjacency(fm, cm);
+    MappingContext fresh;
+    ASSERT_EQ(fresh.candidateAdjacency(fm, cm), full) << where;
+    ASSERT_EQ(reused.candidateAdjacency(fm, cm), full) << where;
+  };
   for (int rep = 0; rep < 400; ++rep) {
     const std::size_t fmRows = 1 + rng.uniformInt(0, 40);
     const std::size_t cols = 1 + rng.uniformInt(0, 130);
     const std::size_t cmRows = fmRows + rng.uniformInt(0, 8);
-    BitMatrix fm(fmRows, cols);
-    for (std::size_t r = 0; r < fmRows; ++r)
-      for (std::size_t c = 0; c < cols; ++c)
-        if (rng.bernoulli(0.1)) fm.set(r, c);  // leaves some rows all-zero
+    const BitMatrix fm = randomBits(fmRows, cols, 0.1, rng);  // some rows all-zero
     const double open = rng.uniform() * 0.3;
     const double closed = rng.bernoulli(0.5) ? rng.uniform() * 0.05 : 0.0;
-    const IidBernoulli model(open, closed);
-    DefectMap defects;
-    DirtyRows dirty;
-    model.generateTracked(cmRows, cols, rng, defects, dirty);
-    BitMatrix cm;
-    crossbarMatrixInto(defects, cm);
-
-    const BitMatrix full = buildCandidateAdjacency(fm, cm);
-    MappingContext ctx;
-    ctx.setSample(&defects, &dirty);
-    const BitMatrix& incremental = ctx.candidateAdjacency(fm, cm);
-    ASSERT_EQ(full, incremental) << "rep=" << rep << " fm=" << fmRows << "x" << cols
-                                 << " closed=" << defects.stuckClosedCount();
+    const DefectMap defects = IidBernoulli(open, closed).sample(cmRows, cols, rng);
+    expectOracle(fm, crossbarMatrix(defects),
+                 "defects rep=" + std::to_string(rep) + " fm=" + std::to_string(fmRows) + "x" +
+                     std::to_string(cols) +
+                     " closed=" + std::to_string(defects.stuckClosedCount()));
+  }
+  for (int rep = 0; rep < 200; ++rep) {
+    // A CM no DefectMap produced: random cells, random all-zero rows and
+    // columns, and row counts on both sides of a word boundary.
+    const std::size_t cmRows = rep % 4 == 3 ? 1 + rng.uniformInt(0, 140) : 63 + rep % 4;
+    const std::size_t cols = rep % 10 == 0 ? 0 : 1 + rng.uniformInt(0, 130);
+    const std::size_t fmRows = 1 + rng.uniformInt(0, cmRows - 1);
+    const BitMatrix fm = randomBits(fmRows, cols, rng.uniform() * 0.2, rng);
+    BitMatrix cm = randomBits(cmRows, cols, 0.6 + rng.uniform() * 0.4, rng);
+    for (std::size_t r = 0; r < cmRows; ++r)
+      if (rng.bernoulli(0.1)) cm.setRow(r, false);
+    for (std::size_t c = 0; c < cols; ++c)
+      if (rng.bernoulli(0.1)) cm.setCol(c, false);
+    expectOracle(fm, cm,
+                 "raw rep=" + std::to_string(rep) + " fm=" + std::to_string(fmRows) + "x" +
+                     std::to_string(cols) + " cm rows=" + std::to_string(cmRows));
+  }
+  // The column-permutation mapper hands one context a fresh permuted FM
+  // per attempt.
+  RandomSopOptions opts;
+  opts.nin = 9;
+  opts.nout = 2;
+  opts.products = 20;
+  const FunctionMatrix fm = buildFunctionMatrix(randomSop(opts, rng));
+  const BitMatrix cm = crossbarMatrix(IidBernoulli(0.15, 0.01).sample(fm.rows(), fm.cols(), rng));
+  std::vector<std::size_t> perm(fm.nin());
+  for (std::size_t v = 0; v < perm.size(); ++v) perm[v] = v;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    rng.shuffle(perm);
+    const FunctionMatrix permuted = fm.withInputPermutation(perm);
+    expectOracle(permuted.bits(), cm, "permutation attempt=" + std::to_string(attempt));
   }
 }
 
 TEST(MappingContext, UnregisteredSampleFallsBackToFullRebuild) {
+  // The context needs nothing but (fm, cm): no sample is ever registered.
   BitMatrix fm(3, 10), cm(4, 10, true);
   fm.set(0, 7);
   cm.reset(2, 7);
-  MappingContext ctx;  // no setSample
+  MappingContext ctx;
   const BitMatrix& adjacency = ctx.candidateAdjacency(fm, cm);
   EXPECT_EQ(adjacency, buildCandidateAdjacency(fm, cm));
 }
 
-TEST(MappingContext, MarkAllDirtyRowsForceFullRebuild) {
-  Rng rng(57);
-  const IidBernoulli model(0.15, 0.0);
-  DefectMap defects = model.sample(6, 20, rng);
-  BitMatrix cm;
-  crossbarMatrixInto(defects, cm);
-  BitMatrix fm(5, 20);
-  fm.set(1, 3);
-  fm.set(4, 17);
-  DirtyRows dirty;
-  dirty.markAll();
-  MappingContext ctx;
-  ctx.setSample(&defects, &dirty);
-  EXPECT_EQ(ctx.candidateAdjacency(fm, cm), buildCandidateAdjacency(fm, cm));
-}
-
 TEST(MappingContext, RebindsWhenFmContentChangesAtTheSameAddress) {
-  // The per-FM column index is keyed on (address, dims, content hash): the
-  // worst case for an address-only key is the same object mutated in place
-  // (or a new FM reallocated at the old one's address), where a stale index
-  // would be served silently.
+  // Context reuse: the same FM object mutated in place between calls (the
+  // shape of a new FM reallocated at the old one's address) must never be
+  // served a stale adjacency.
   Rng rng(61);
-  const IidBernoulli model(0.2, 0.02);
-  DefectMap defects;
-  DirtyRows dirty;
-  model.generateTracked(8, 40, rng, defects, dirty);
-  BitMatrix cm;
-  crossbarMatrixInto(defects, cm);
+  const BitMatrix cm = crossbarMatrix(IidBernoulli(0.2, 0.02).sample(8, 40, rng));
   BitMatrix fm(6, 40);
   for (std::size_t c = 0; c < 40; c += 3) fm.set(1, c);
   MappingContext ctx;
-  ctx.setSample(&defects, &dirty);
   EXPECT_EQ(ctx.candidateAdjacency(fm, cm), buildCandidateAdjacency(fm, cm));
   // Same address, same dims, different bits: the context must notice.
   for (std::size_t c = 0; c < 40; c += 2) fm.set(4, c);

@@ -179,7 +179,7 @@ TEST(DefectExperiment, ResultsAreIdenticalAtAnyThreadCountForNonIidModels) {
 
 TEST(DefectExperiment, MatchesForEachDefectSampleStreams) {
   // The engine and the callback variant must see the same defect draws —
-  // and the engine's context path (incremental adjacency) must reproduce
+  // and the engine's context path (a reused per-worker context) must reproduce
   // the plain mapper.map() exactly. Checked for the legacy sampler and the
   // sparse one.
   for (const bool sparse : {false, true}) {

@@ -61,8 +61,8 @@ TEST(SatTestMapper, AgreesWithFastExactMapperEverywhere) {
     opts.products = 4 + static_cast<std::size_t>(rng.uniformInt(0, 8));
     const FunctionMatrix fm = buildFunctionMatrix(randomSop(opts, rng));
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(
-        fm.rows(), fm.cols(), 0.05 + 0.25 * sample.uniform(), 0.0, sample);
+    const DefectMap defects =
+        IidBernoulli(0.05 + 0.25 * sample.uniform()).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     const MappingResult viaSat = satMapper.map(fm, cm);
     const MappingResult viaHk = fast.map(fm, cm);

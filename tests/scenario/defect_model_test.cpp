@@ -24,12 +24,17 @@ bool sameMap(const DefectMap& a, const DefectMap& b) {
 // --- IidBernoulli: the regression anchor of the whole rewiring -----------
 
 TEST(IidBernoulli, DrawForDrawIdenticalToLegacyResample) {
+  // generate() into a scratch map of another shape, with stale defects,
+  // must draw exactly what a fresh sample() does: the engine's per-worker
+  // arenas rely on it (the per-crosspoint oracle is in tests/xbar).
   const IidBernoulli model(0.12, 0.03);
   for (const std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
     Rng a(seed), b(seed);
-    const DefectMap viaModel = model.sample(37, 53, a);
-    const DefectMap viaLegacy = DefectMap::sample(37, 53, 0.12, 0.03, b);
-    EXPECT_TRUE(sameMap(viaModel, viaLegacy)) << "seed=" << seed;
+    const DefectMap fresh = model.sample(37, 53, a);
+    DefectMap reused(3, 200);
+    reused.setType(2, 199, DefectType::StuckClosed);
+    model.generate(37, 53, b, reused);
+    EXPECT_TRUE(sameMap(fresh, reused)) << "seed=" << seed;
     // Identical draw *counts* too: the streams must stay in lockstep.
     EXPECT_EQ(a(), b()) << "seed=" << seed;
   }
@@ -141,28 +146,9 @@ TEST(SparseIidBernoulli, MixedRatesSplitTypesByShare) {
   EXPECT_NEAR(static_cast<double>(closed) / total, 0.10, 0.02);
 }
 
-TEST(SparseIidBernoulli, TracksExactlyTheDefectiveRows) {
-  const SparseIidBernoulli model(0.04, 0.01);
-  Rng rng(11);
-  DefectMap map;
-  DirtyRows dirty;
-  model.generateTracked(40, 70, rng, map, dirty);
-  EXPECT_FALSE(dirty.all);
-  EXPECT_EQ(dirty.stuckOpen, map.stuckOpenCount());
-  EXPECT_EQ(dirty.stuckClosed, map.stuckClosedCount());
-  std::vector<std::size_t> expected;
-  for (std::size_t r = 0; r < map.rows(); ++r) {
-    bool any = false;
-    for (std::size_t c = 0; c < map.cols(); ++c)
-      any = any || map.type(r, c) != DefectType::None;
-    if (any) expected.push_back(r);
-  }
-  EXPECT_EQ(dirty.rows, expected);
-}
-
 TEST(SparseIidBernoulli, TrackedAndUntrackedDrawIdentically) {
-  // generate() and generateTracked() must consume the stream identically
-  // (the engine and forEachDefectSample may call either for a sample).
+  // generateTracked() survives only for perfbench, whose pinned counts
+  // need it to draw exactly as generate() does.
   const SparseIidBernoulli model(0.08, 0.02);
   Rng a(13), b(13);
   DefectMap viaGenerate;
@@ -183,28 +169,6 @@ TEST(SparseIidBernoulli, DenseRatesFallBackToTheLegacySweep) {
   Rng a(17), b(17);
   EXPECT_TRUE(sameMap(sparse.sample(30, 41, a), dense.sample(30, 41, b)));
   EXPECT_EQ(a(), b());
-}
-
-TEST(DefectModels, DefaultGenerateTrackedScansTheFinishedMap) {
-  // Dense models get dirty-row tracking for free via the base-class scan.
-  ClusteredDefects::Params p;
-  p.clusterDensity = 2e-3;
-  const ClusteredDefects model(p);
-  Rng a(19), b(19);
-  DefectMap viaGenerate;
-  model.generate(48, 48, a, viaGenerate);
-  DefectMap viaTracked;
-  DirtyRows dirty;
-  model.generateTracked(48, 48, b, viaTracked, dirty);
-  EXPECT_TRUE(sameMap(viaGenerate, viaTracked));
-  EXPECT_FALSE(dirty.all);
-  EXPECT_EQ(dirty.stuckOpen, viaTracked.stuckOpenCount());
-  for (const std::size_t r : dirty.rows) {
-    std::size_t defects = 0;
-    for (std::size_t c = 0; c < 48; ++c)
-      defects += viaTracked.type(r, c) != DefectType::None ? 1 : 0;
-    EXPECT_GT(defects, 0u) << "row " << r;
-  }
 }
 
 // --- ClusteredDefects ------------------------------------------------------

@@ -286,6 +286,21 @@ TEST_F(ServiceTest, MalformedInlinePlaIsParseNotInternal) {
   EXPECT_EQ(counters.completedOk, 0u);
 }
 
+TEST_F(ServiceTest, EndlessFileCircuitIsParseWithinItsDeadline) {
+  // file:/dev/zero would stream without end; the declaration refuses it
+  // (not a regular file) before the request is queued.
+  ResponseLog log;
+  ExperimentService service(smallOptions(), log.sink());
+  const auto start = std::chrono::steady_clock::now();
+  service.submit(
+      R"({"id": "zero", "circuit": "file:/dev/zero", "samples": 1, "deadline_ms": 100})");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(100));
+  EXPECT_EQ(log.size(), 1u) << "answered synchronously, without touching the queue";
+  EXPECT_EQ(errorCode(log.response("zero")), "parse");
+  EXPECT_EQ(service.counters().parseErrors, 1u);
+  EXPECT_EQ(service.counters().internalErrors, 0u);
+}
+
 TEST_F(ServiceTest, SatMapperRequestCompletes) {
   ResponseLog log;
   ExperimentService service(smallOptions(), log.sink());

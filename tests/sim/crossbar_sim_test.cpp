@@ -8,6 +8,7 @@
 #include "logic/truth_table.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "netlist/nand_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
@@ -200,7 +201,7 @@ TEST(MultiLevelSim, HybridMappingOnDefectiveMultiLevelCrossbar) {
   for (int rep = 0; rep < 40 && checked < 5; ++rep) {
     Rng sample = rng.split();
     const DefectMap defects =
-        DefectMap::sample(layout.fm.rows(), layout.fm.cols(), 0.05, 0.0, sample);
+        IidBernoulli(0.05).sample(layout.fm.rows(), layout.fm.cols(), sample);
     const MappingResult r = HybridMapper().map(layout.fm, crossbarMatrix(defects));
     if (!r.success) continue;
     ++checked;

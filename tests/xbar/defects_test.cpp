@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "scenario/defect_model.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
@@ -46,8 +47,8 @@ TEST(DefectMap, PoisoningQueriesFollowStuckClosed) {
 
 TEST(DefectMap, SampleIsDeterministicAndCalibrated) {
   Rng a(12), b(12);
-  const DefectMap m1 = DefectMap::sample(100, 100, 0.1, 0.02, a);
-  const DefectMap m2 = DefectMap::sample(100, 100, 0.1, 0.02, b);
+  const DefectMap m1 = IidBernoulli(0.1, 0.02).sample(100, 100, a);
+  const DefectMap m2 = IidBernoulli(0.1, 0.02).sample(100, 100, b);
   EXPECT_EQ(m1.stuckOpenCount(), m2.stuckOpenCount());
   EXPECT_EQ(m1.stuckClosedCount(), m2.stuckClosedCount());
   EXPECT_NEAR(static_cast<double>(m1.stuckOpenCount()) / 10000.0, 0.1, 0.02);
@@ -56,8 +57,8 @@ TEST(DefectMap, SampleIsDeterministicAndCalibrated) {
 
 // Independent oracle for the dense sampler: the per-crosspoint definition
 // (one Rng::uniform() per crosspoint, row-major, open below the open rate,
-// closed below the summed rate). resample() must reproduce it map for map
-// and leave the generator at the same position.
+// closed below the summed rate). IidBernoulli::generate must reproduce it
+// map for map and leave the generator at the same position.
 DefectMap referenceSample(std::size_t rows, std::size_t cols, double open, double closed,
                           Rng& rng) {
   DefectMap map(rows, cols);
@@ -79,7 +80,7 @@ void expectMatchesReference(std::size_t rows, std::size_t cols, double open, dou
   const DefectMap expected = referenceSample(rows, cols, open, closed, viaReference);
   DefectMap actual(3, 200);  // stale contents must not leak into the result
   actual.setType(2, 199, DefectType::StuckClosed);
-  actual.resample(rows, cols, open, closed, viaSampler);
+  IidBernoulli(open, closed).generate(rows, cols, viaSampler, actual);
   const std::string where = std::to_string(rows) + "x" + std::to_string(cols) +
                             " open=" + std::to_string(open) +
                             " closed=" + std::to_string(closed) +
@@ -125,8 +126,8 @@ TEST(DefectMap, ResampleThresholdsAreExactAtDrawnUniforms) {
 
 TEST(DefectMap, SampleRejectsBadRates) {
   Rng rng(1);
-  EXPECT_THROW(DefectMap::sample(2, 2, -0.1, 0.0, rng), InvalidArgument);
-  EXPECT_THROW(DefectMap::sample(2, 2, 0.7, 0.5, rng), InvalidArgument);
+  EXPECT_THROW(IidBernoulli(-0.1).sample(2, 2, rng), InvalidArgument);
+  EXPECT_THROW(IidBernoulli(0.7, 0.5).sample(2, 2, rng), InvalidArgument);
 }
 
 TEST(CrossbarMatrix, CleanMapIsAllFunctional) {
