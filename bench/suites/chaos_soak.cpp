@@ -64,7 +64,11 @@ struct SoakConfig {
 std::string drawLine(Rng& rng, std::size_t client, std::uint64_t serial) {
   const char* const circuits[] = {"rd53-min", "sqrt8-min", "majority7-min", "bw", "t481"};
   const int draw = rng.uniformInt(0, 99);
-  const std::string id = "c" + std::to_string(client) + "-" + std::to_string(serial);
+  // Appended piecewise: GCC 12's -Wrestrict misfires on "literal" + string&&.
+  std::string id = "c";
+  id += std::to_string(client);
+  id += '-';
+  id += std::to_string(serial);
   if (draw < 5) return R"({"type": "health", "id": ")" + id + "\"}";
   if (draw < 8) return R"({"type": "stats", "id": ")" + id + "\"}";
   if (draw < 13) {  // malformed: truncated JSON, the parse path is on duty

@@ -10,54 +10,78 @@ namespace mcx {
 
 namespace {
 
+using Word = BitMatrix::Word;
+constexpr std::size_t kWordBits = BitMatrix::kWordBits;
+
 constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
 
-// Hopcroft-Karp on a bit-matrix adjacency: each set bit of row l is an edge
-// l -> (word * 64 + bit), walked word-at-a-time with countr_zero — no
-// per-edge adjacency structure.
+// Hopcroft-Karp on a bit-matrix adjacency (left vertex = row, right vertex =
+// column). Both searches walk a row as whole words ANDed with a mask of the
+// right vertices they may still step through, so a row costs one word op
+// per 64 right vertices plus one step per right vertex taken, never one
+// step per edge.
+//
+// The phase is the classic layered one: the BFS layers every row reachable
+// by alternating paths, and the DFS from row l on layer k steps through a
+// right vertex if it is free or its partner is on layer k+1, in ascending
+// order; a row whose DFS fails leaves the layering. The masks below hold
+// exactly that eligibility, so the matching found is the one the
+// edge-by-edge walk finds. One read of a word's eligibility serves its
+// whole scan: a failed recursion matches nothing, and on layer k+1 it
+// drops only the right vertex it was entered through.
 struct HkEngine {
   const BitMatrix& adj;
+  const std::size_t words;
   std::vector<std::size_t> matchL, matchR, dist, queue;
+  /// Right vertices with no partner.
+  std::vector<Word> freeRight;
+  /// Right vertices the current BFS has reached.
+  std::vector<Word> seen;
+  /// Layer masks, `words` words each: mask d holds the right vertices whose
+  /// partner is a row on layer d (kept current through the DFS).
+  std::vector<Word> layers;
 
   explicit HkEngine(const BitMatrix& adjacency)
       : adj(adjacency),
+        words((adjacency.cols() + kWordBits - 1) / kWordBits),
         matchL(adj.rows(), MatchingResult::kUnmatched),
         matchR(adj.cols(), MatchingResult::kUnmatched),
-        dist(adj.rows()) {}
-
-  template <typename Fn>
-  bool forEachNeighbor(std::size_t l, Fn&& fn) const {
-    const auto words = adj.rowWords(l);
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      BitMatrix::Word bits = words[i];
-      while (bits != 0) {
-        const std::size_t r = i * BitMatrix::kWordBits +
-                              static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        if (fn(r)) return true;
-      }
-    }
-    return false;
+        freeRight(words, ~Word{0}) {
+    if (words > 0) freeRight[words - 1] = BitMatrix::tailMask(adj.cols());
   }
 
-  /// Greedy maximal seed, word-parallel: candidate words are ANDed with a
-  /// free-rights mask, so already-taken neighbors are skipped 64 at a time
-  /// instead of bit by bit (they dominate once the matching fills up).
+  Word* layer(std::size_t d) { return layers.data() + d * words; }
+  std::size_t layerCount() const { return words == 0 ? 0 : layers.size() / words; }
+
+  static Word bitOf(std::size_t r) { return Word{1} << (r % kWordBits); }
+
+  /// DFS step: match row l to right vertex r, moving r out of the free
+  /// mask or out of its old partner's layer (both rows are layered) and
+  /// into l's.
+  void match(std::size_t l, std::size_t r) {
+    const std::size_t w = r / kWordBits;
+    const std::size_t old = matchR[r];
+    if (old == MatchingResult::kUnmatched) {
+      freeRight[w] &= ~bitOf(r);
+    } else {
+      layer(dist[old])[w] &= ~bitOf(r);
+    }
+    layer(dist[l])[w] |= bitOf(r);
+    matchL[l] = r;
+    matchR[r] = l;
+  }
+
+  /// Greedy maximal seed: each row takes its first free right vertex,
+  /// found by ANDing its words with the free mask.
   std::size_t greedySeed() {
-    using Word = BitMatrix::Word;
-    if (adj.rows() == 0 || adj.cols() == 0) return 0;
-    const std::size_t words = adj.rowWords(0).size();
-    std::vector<Word> free(words, ~Word{0});
-    free[words - 1] = BitMatrix::tailMask(adj.cols());
     std::size_t placed = 0;
     for (std::size_t l = 0; l < adj.rows(); ++l) {
       const auto row = adj.rowWords(l);
       for (std::size_t w = 0; w < words; ++w) {
-        const Word cand = row[w] & free[w];
+        const Word cand = row[w] & freeRight[w];
         if (cand == 0) continue;
-        const std::size_t bit = static_cast<std::size_t>(std::countr_zero(cand));
-        const std::size_t r = w * BitMatrix::kWordBits + bit;
-        free[w] &= ~(Word{1} << bit);
+        const std::size_t r = w * kWordBits + static_cast<std::size_t>(std::countr_zero(cand));
+        freeRight[w] &= ~bitOf(r);
         matchL[l] = r;
         matchR[r] = l;
         ++placed;
@@ -67,11 +91,17 @@ struct HkEngine {
     return placed;
   }
 
+  /// Layer every row reachable from a free row; each dequeued row costs one
+  /// pass over its words against `seen`. True iff a free right vertex is
+  /// reachable, i.e. an augmenting path exists.
   bool bfs() {
-    // Flat FIFO (reused across phases): a std::queue would allocate a deque
-    // chunk per phase, on the warm-started per-sample path.
+    // Sized here, not up front: a seed that places every row never searches.
+    // The FIFO is a flat vector reused across phases (a std::queue would
+    // allocate a deque chunk per phase).
+    dist.resize(adj.rows());
     queue.clear();
-    std::size_t head = 0;
+    seen.assign(words, Word{0});
+    layers.assign(words, Word{0});  // layer 0: the free rows, partnerless until matched
     for (std::size_t l = 0; l < adj.rows(); ++l) {
       if (matchL[l] == MatchingResult::kUnmatched) {
         dist[l] = 0;
@@ -80,36 +110,49 @@ struct HkEngine {
         dist[l] = kInf;
       }
     }
-    bool foundAugmenting = false;
-    while (head < queue.size()) {
+    bool found = false;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
       const std::size_t l = queue[head];
-      ++head;
-      forEachNeighbor(l, [&](std::size_t r) {
-        const std::size_t next = matchR[r];
-        if (next == MatchingResult::kUnmatched) {
-          foundAugmenting = true;
-        } else if (dist[next] == kInf) {
-          dist[next] = dist[l] + 1;
-          queue.push_back(next);
+      const std::size_t k = dist[l];
+      if (layerCount() < k + 2) layers.resize((k + 2) * words, Word{0});
+      Word* const next = layer(k + 1);
+      const auto row = adj.rowWords(l);
+      for (std::size_t w = 0; w < words; ++w) {
+        const Word fresh = row[w] & ~seen[w];
+        if (fresh == 0) continue;
+        seen[w] |= fresh;
+        if ((fresh & freeRight[w]) != 0) found = true;
+        Word matched = fresh & ~freeRight[w];
+        next[w] |= matched;
+        for (; matched != 0; matched &= matched - 1) {
+          const std::size_t partner =
+              matchR[w * kWordBits + static_cast<std::size_t>(std::countr_zero(matched))];
+          dist[partner] = k + 1;
+          queue.push_back(partner);
         }
-        return false;
-      });
+      }
     }
-    return foundAugmenting;
+    return found;
   }
 
+  /// Augment from row @p l along the layering.
   bool dfs(std::size_t l) {
-    const bool augmented = forEachNeighbor(l, [&](std::size_t r) {
-      const std::size_t next = matchR[r];
-      if (next == MatchingResult::kUnmatched || (dist[next] == dist[l] + 1 && dfs(next))) {
-        matchL[l] = r;
-        matchR[r] = l;
-        return true;
+    const std::size_t k = dist[l];
+    const Word* const next = layer(k + 1);  // the BFS gave every reached layer a successor
+    const auto row = adj.rowWords(l);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (Word cand = row[w] & (freeRight[w] | next[w]); cand != 0; cand &= cand - 1) {
+        const std::size_t r = w * kWordBits + static_cast<std::size_t>(std::countr_zero(cand));
+        if (matchR[r] == MatchingResult::kUnmatched || dfs(matchR[r])) {
+          match(l, r);
+          return true;
+        }
       }
-      return false;
-    });
-    if (!augmented) dist[l] = kInf;
-    return augmented;
+    }
+    const std::size_t r = matchL[l];
+    if (r != MatchingResult::kUnmatched) layer(k)[r / kWordBits] &= ~bitOf(r);
+    dist[l] = kInf;
+    return false;
   }
 
   MatchingResult run(bool warmStart) {

@@ -25,9 +25,12 @@ struct MatchingResult {
 };
 
 /// Maximum matching via Hopcroft-Karp, directly on a bit-matrix adjacency
-/// (left vertex = row, right vertex = column). Neighbor lists are walked
-/// word-at-a-time with countr_zero, so no per-edge adjacency structure is
-/// ever materialized.
+/// (left vertex = row, right vertex = column). Both searches AND a row's
+/// words with a mask of the right vertices still worth a step, so each row
+/// a search reaches costs one word op per 64 right vertices, and no
+/// per-edge structure is ever materialized. The matching returned is the
+/// one the classic layered search finds walking edges one by one in
+/// ascending column order.
 ///
 /// With @p warmStart (the default) the phases are seeded with a greedy
 /// maximal matching — each left vertex takes its first free neighbor — so

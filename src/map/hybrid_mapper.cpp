@@ -1,6 +1,5 @@
 #include "map/hybrid_mapper.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <numeric>
 #include <span>
@@ -81,16 +80,26 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency,
   // zero-cost Munkres run.
   std::vector<std::size_t> fmo(fm.numOutputRows());
   for (std::size_t o = 0; o < fmo.size(); ++o) fmo[o] = fm.rowOfOutput(o);
-  std::vector<std::size_t> cmu;
+  // Sub-adjacency columns are the free CM rows in ascending order: cmu[k]
+  // is column k's CM row, subCol[t] the column of free CM row t.
+  std::vector<std::size_t> cmu, subCol(N);
   cmu.reserve(N - order.size());
-  for (std::size_t t = 0; t < N; ++t)
-    if (cmOwner[t] == kNone) cmu.push_back(t);
+  for (std::size_t w = 0; w < maskWords; ++w) {
+    for (Word bits = free[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t t = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+      subCol[t] = cmu.size();
+      cmu.push_back(t);
+    }
+  }
   if (cmu.size() < fmo.size()) return false;
 
   BitMatrix sub(fmo.size(), cmu.size());
-  for (std::size_t o = 0; o < fmo.size(); ++o)
-    for (std::size_t k = 0; k < cmu.size(); ++k)
-      if (adjacency.test(fmo[o], cmu[k])) sub.set(o, k);
+  for (std::size_t o = 0; o < fmo.size(); ++o) {
+    const auto row = adjacency.rowWords(fmo[o]);
+    for (std::size_t w = 0; w < maskWords; ++w)
+      for (Word fits = row[w] & free[w]; fits != 0; fits &= fits - 1)
+        sub.set(o, subCol[w * kWordBits + static_cast<std::size_t>(std::countr_zero(fits))]);
+  }
 
   const FeasibleAssignment assignment = solveFeasibleAssignment(sub);
   if (!assignment.success) return false;
@@ -125,18 +134,18 @@ MappingResult HybridMapper::mapRows(const FunctionMatrix& fm, const BitMatrix& c
     return result;
   }
 
-  // Most-constrained rows first (ties broken by index, so equal-degree rows
-  // keep the paper's top-to-bottom order — same order a stable sort gives,
-  // without stable_sort's per-call buffer allocation): they have the fewest
-  // escape hatches, and placing them early slashes the backtracking
-  // repairs. When this order dead-ends, fall back to the paper's
-  // top-to-bottom order — the two greedy orders fail on different
-  // instances, so the success set is the union of both and never below the
-  // paper's.
-  std::vector<std::size_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-    return candidates[a] != candidates[b] ? candidates[a] < candidates[b] : a < b;
-  });
+  // Most-constrained rows first, by a stable counting sort on the degree
+  // (at most the CM row count), so equal-degree rows keep the paper's
+  // top-to-bottom order: they have the fewest escape hatches, and placing
+  // them early slashes the backtracking repairs. When this order dead-ends,
+  // fall back to the paper's top-to-bottom order — the two greedy orders
+  // fail on different instances, so the success set is the union of both
+  // and never below the paper's.
+  std::vector<std::size_t> start(adjacency.cols() + 2, 0);
+  for (const std::size_t r : order) ++start[candidates[r] + 1];
+  for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+  std::vector<std::size_t> sorted(P);
+  for (const std::size_t r : order) sorted[start[candidates[r]]++] = r;
   if (attemptMapping(fm, adjacency, sorted, opts_.backtracking, result)) return result;
   if (sorted != order) attemptMapping(fm, adjacency, order, opts_.backtracking, result);
   return result;

@@ -155,7 +155,9 @@ TEST(SatTestCube, BudgetExhaustionIsNotInterrupted) {
   base.conflictLimit = 1;
   const CubeOutcome out = solveCubes(enc.cnf, generateCubes(enc, 1), base);
   EXPECT_NE(out.verdict, Verdict::Sat);
-  if (out.verdict == Verdict::Unknown) EXPECT_FALSE(out.interrupted);
+  if (out.verdict == Verdict::Unknown) {
+    EXPECT_FALSE(out.interrupted);
+  }
 }
 
 }  // namespace

@@ -55,8 +55,9 @@ Verdict verdictOf(const BitMatrix& adj, std::vector<std::size_t>* assignment = n
   const MatchingCnf enc = encodeMatching(adj);
   if (enc.trivialUnsat) return Verdict::Unsat;
   const SolveResult r = solve(enc.cnf);
-  if (r.verdict == Verdict::Sat && assignment != nullptr)
+  if (r.verdict == Verdict::Sat && assignment != nullptr) {
     EXPECT_TRUE(decodeModel(enc, r.model, *assignment));
+  }
   return r.verdict;
 }
 

@@ -193,10 +193,12 @@ TEST(SatTestMapper, DeadlineMidRunAbortsWithPartialCountsAndRerunIsIdentical) {
     EXPECT_LE(partial.successes, reference.successes);
     // Every recorded sample matches the reference run sample-for-sample —
     // an aborted sat solve never pollutes a recorded slot.
-    for (std::size_t s = 0; s < partial.mappings.size(); ++s)
-      if (partial.mappings[s].success)
+    for (std::size_t s = 0; s < partial.mappings.size(); ++s) {
+      if (partial.mappings[s].success) {
         EXPECT_EQ(partial.mappings[s].rowAssignment, reference.mappings[s].rowAssignment)
             << "sample " << s;
+      }
+    }
   }
   // (On a very fast box the run may finish inside the budget; the rerun
   // check below is the invariant that must hold either way.)

@@ -109,7 +109,9 @@ TEST(SatTestSolver, AgreesWithBruteForceOnRandom3Cnf) {
       const SolveResult r = solve(cnf, opts);
       ASSERT_EQ(r.verdict, truth ? Verdict::Sat : Verdict::Unsat)
           << "rep " << rep << " learn " << learn;
-      if (truth) EXPECT_TRUE(modelSatisfies(cnf, r.model));
+      if (truth) {
+        EXPECT_TRUE(modelSatisfies(cnf, r.model));
+      }
     }
   }
   // The ratio straddles the phase transition: both verdicts must occur or
