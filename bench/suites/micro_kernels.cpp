@@ -3,7 +3,8 @@
 // factoring, end-to-end HBA/EA mapping, and the three layers of the Monte
 // Carlo hot path (legacy vs sparse sampling, pairwise fit tests vs the
 // context's CM-transpose adjacency, cold vs warm-started Hopcroft-Karp) on the bw
-// multi-level workload at the paper's 10% stuck-open rate, Hopcroft-Karp's
+// multi-level workload at the paper's 10% stuck-open rate (the legacy
+// sampler on alu4's Table II crossbar too), Hopcroft-Karp's
 // augmenting search on a dense rd84 Table II sample, plus the
 // memoized synthesis front-end (full pipeline compile vs cache hit), and
 // the telemetry layer's own overhead (counter adds, histogram records,
@@ -114,8 +115,15 @@ const FunctionMatrix& bwFunctionMatrix() {
   return layout.fm;
 }
 
-void BM_SamplerLegacy(benchmark::State& state) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
+// alu4's two-level FM (583x44) is Table II's largest crossbar: each row is
+// one 44-draw word, where bw's 299 columns are four full words and a tail.
+const FunctionMatrix& alu4FunctionMatrix() {
+  static const FunctionMatrix fm = buildFunctionMatrix(loadBenchmarkFast("alu4").cover);
+  return fm;
+}
+
+void BM_SamplerLegacy(benchmark::State& state, const FunctionMatrix& (*circuit)()) {
+  const FunctionMatrix& fm = circuit();
   const IidBernoulli model(0.10, 0.0);
   Rng rng(6);
   DefectMap map;
@@ -124,7 +132,8 @@ void BM_SamplerLegacy(benchmark::State& state) {
     benchmark::DoNotOptimize(map);
   }
 }
-BENCHMARK(BM_SamplerLegacy);
+BENCHMARK_CAPTURE(BM_SamplerLegacy, bw, &bwFunctionMatrix);
+BENCHMARK_CAPTURE(BM_SamplerLegacy, alu4, &alu4FunctionMatrix);
 
 void BM_SamplerSparse(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();

@@ -49,31 +49,24 @@ void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
   out.reshape(rows, cols);
   // One uniform per crosspoint, row-major: u = k * 2^-53 with k = draw >> 11
   // (Rng::uniform), and since p * 2^53 is exact, u < p <=> k < ceil(p * 2^53).
-  // Integer thresholds make every map bit-identical to comparing uniforms.
+  // Integer thresholds make every map bit-identical to comparing uniforms;
+  // Rng::belowMasks draws and scores one 64-crosspoint row word per call.
   const auto threshold = [](double p) {
     return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
   };
   const std::uint64_t tOpen = threshold(open_);
   const std::uint64_t tAny = threshold(open_ + closed_);
-  // A local generator keeps its state in registers: the word stores below
-  // could otherwise alias it.
-  Rng local = rng;
   for (std::size_t r = 0; r < rows; ++r) {
     const auto open = out.mutableOpenBits().rowWords(r);
     const auto closed = out.mutableClosedBits().rowWords(r);
     for (std::size_t i = 0; i < open.size(); ++i) {
       const std::size_t bits = std::min(BitMatrix::kWordBits, cols - i * BitMatrix::kWordBits);
       BitMatrix::Word openWord = 0, anyWord = 0;
-      for (std::size_t b = 0; b < bits; ++b) {
-        const std::uint64_t k = local() >> 11;
-        openWord |= BitMatrix::Word{k < tOpen} << b;
-        anyWord |= BitMatrix::Word{k < tAny} << b;
-      }
+      rng.belowMasks(bits, tOpen, tAny, openWord, anyWord);
       open[i] = openWord;
       closed[i] = anyWord & ~openWord;
     }
   }
-  rng = local;
 }
 
 // ---------------------------------------------------- SparseIidBernoulli

@@ -1,6 +1,13 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
+#include "util/error.hpp"
 
 namespace mcx {
 
@@ -97,6 +104,64 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
     // Rounding can leave a sliver of u after all mass is consumed.
     if (!advanced) return mode;
   }
+}
+
+void Rng::belowMasks(std::size_t n, std::uint64_t tLow, std::uint64_t tHigh,
+                     std::uint64_t& low, std::uint64_t& high) {
+  constexpr std::size_t kMaxDraws = 64;
+  MCX_REQUIRE(n <= kMaxDraws, "Rng::belowMasks: at most 64 draws");
+  // k < 2^53, so any threshold above 2^53 decides like 2^53. Clamped, both
+  // sides of every compare lie in [0, 2^53], where a signed compare is exact.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  tLow = std::min(tLow, kTop);
+  tHigh = std::min(tHigh, kTop);
+
+  // Pass 1: the state chain, serial by construction. Only the pre-scramble
+  // word s_[1] of each step is kept; the scrambler does not feed the chain.
+  // A local copy keeps the state in registers across the buffer stores.
+  std::uint64_t pre[kMaxDraws];
+  Rng chain = *this;
+  for (std::size_t b = 0; b < n; ++b) {
+    pre[b] = chain.s_[1];
+    chain.advance();
+  }
+  *this = chain;
+
+  // Pass 2: scramble, shift and compare. No draw depends on another here.
+  // The masks build in locals: stores through `low`/`high`, which may alias,
+  // would chain every step through memory.
+  std::uint64_t lowBits = 0, highBits = 0;
+  std::size_t b = 0;
+#if defined(__AVX2__)
+  // Four draws per step. AVX2 has no 64-bit multiply, so x*5 and x*9 are
+  // shift-adds and the rotate is two shifts. cmpgt(t, k) is k < t, and a
+  // lane that compares true has its sign bit set, which movemask_pd packs
+  // into four bits.
+  const __m256i lowT = _mm256_set1_epi64x(static_cast<long long>(tLow));
+  const __m256i highT = _mm256_set1_epi64x(static_cast<long long>(tHigh));
+  for (; b + 4 <= n; b += 4) {
+    const __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pre + b));
+    const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
+    const __m256i rotated =
+        _mm256_or_si256(_mm256_slli_epi64(times5, 7), _mm256_srli_epi64(times5, 57));
+    const __m256i times9 = _mm256_add_epi64(_mm256_slli_epi64(rotated, 3), rotated);
+    const __m256i k = _mm256_srli_epi64(times9, 11);
+    const auto lanes = [&](__m256i t) {
+      return static_cast<std::uint64_t>(
+          _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, k))));
+    };
+    lowBits |= lanes(lowT) << b;
+    highBits |= lanes(highT) << b;
+  }
+#endif
+  // The tail of fewer than four draws, and every draw without AVX2.
+  for (; b < n; ++b) {
+    const std::uint64_t k = scramble(pre[b]) >> 11;
+    lowBits |= std::uint64_t{k < tLow} << b;
+    highBits |= std::uint64_t{k < tHigh} << b;
+  }
+  low = lowBits;
+  high = highBits;
 }
 
 Rng Rng::split() { return Rng((*this)() ^ 0xd1b54a32d192ed03ull); }

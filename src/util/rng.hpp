@@ -6,6 +6,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,20 +21,24 @@ public:
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  // Inline: the dense defect sampler draws once per crosspoint, where an
-  // out-of-line call per draw is most of the cost.
+  // Inline: the sparse defect sampler and the bounded draws call this in
+  // their inner loops, where an out-of-line call per draw is most of the cost.
   /// Raw 64 random bits.
   std::uint64_t operator()() {
-    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = std::rotl(s_[3], 45);
+    const std::uint64_t result = scramble(s_[1]);
+    advance();
     return result;
   }
+
+  /// Draws n <= 64 outputs, as n operator() calls would, and returns two
+  /// masks: bit b of `low` (of `high`) is set when draw b's top 53 bits,
+  /// k = draw >> 11, are below tLow (below tHigh). Since uniform() is
+  /// k * 2^-53, a threshold ceil(p * 2^53) sets exactly the bits where
+  /// uniform() < p. The dense defect sampler scores each 64-crosspoint row
+  /// word with one call: the state chain runs serially, and the scrambler
+  /// and the compares run four draws at a time on AVX2 builds.
+  void belowMasks(std::size_t n, std::uint64_t tLow, std::uint64_t tHigh, std::uint64_t& low,
+                  std::uint64_t& high);
 
   /// Uniform in [0, 1).
   double uniform() {
@@ -66,6 +71,19 @@ public:
   Rng split();
 
 private:
+  // xoshiro256**: the output scrambler of the state word s_[1], and the
+  // state transition that follows each draw.
+  static std::uint64_t scramble(std::uint64_t s1) { return std::rotl(s1 * 5, 7) * 9; }
+  void advance() {
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+  }
+
   std::uint64_t s_[4];
 };
 

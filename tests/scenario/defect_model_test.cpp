@@ -23,7 +23,7 @@ bool sameMap(const DefectMap& a, const DefectMap& b) {
 
 // --- IidBernoulli: the regression anchor of the whole rewiring -----------
 
-TEST(IidBernoulli, DrawForDrawIdenticalToLegacyResample) {
+TEST(IidBernoulli, GenerateIntoReusedMapMatchesFreshSample) {
   // generate() into a scratch map of another shape, with stale defects,
   // must draw exactly what a fresh sample() does: the engine's per-worker
   // arenas rely on it (the per-crosspoint oracle is in tests/xbar).

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 namespace mcx {
 namespace {
@@ -95,6 +97,42 @@ TEST(Rng, SplitProducesIndependentStream) {
   Rng parentCopy = a;
   for (int i = 0; i < 10; ++i) anyDifferent |= (parentCopy() != child());
   EXPECT_TRUE(anyDifferent);
+}
+
+TEST(Rng, BelowMasksMatchScalarDrawsAndAdvanceTheStream) {
+  // Every length 0-64 (each lane count with each tail), at fixed thresholds
+  // (never, k == 0 only, always, and above the 2^53 range of k) and at the
+  // k of draws inside the block itself, where k < t must be decided exactly.
+  for (const std::uint64_t seed : {1ull, 42ull, 0xfeedull, 0x9e3779b97f4a7c15ull}) {
+    Rng stream(seed);
+    for (std::size_t n = 0; n <= 64; ++n) {
+      std::vector<std::uint64_t> k(n);
+      Rng peek = stream;
+      for (auto& v : k) v = peek() >> 11;
+      std::vector<std::uint64_t> thresholds = {0, 1, std::uint64_t{1} << 53, ~std::uint64_t{0}};
+      for (std::size_t b = 0; b < n; b += 5) thresholds.insert(thresholds.end(), {k[b], k[b] + 1});
+      for (const std::uint64_t tLow : thresholds) {
+        for (const std::uint64_t tHigh : thresholds) {
+          Rng scalar = stream, block = stream;
+          std::uint64_t wantLow = 0, wantHigh = 0;
+          for (std::size_t b = 0; b < n; ++b) {
+            const std::uint64_t draw = scalar() >> 11;
+            wantLow |= std::uint64_t{draw < tLow} << b;
+            wantHigh |= std::uint64_t{draw < tHigh} << b;
+          }
+          std::uint64_t low = 0xdead, high = 0xbeef;
+          block.belowMasks(n, tLow, tHigh, low, high);
+          const std::string where = "seed=" + std::to_string(seed) + " n=" + std::to_string(n) +
+                                    " tLow=" + std::to_string(tLow) +
+                                    " tHigh=" + std::to_string(tHigh);
+          ASSERT_EQ(low, wantLow) << where;
+          ASSERT_EQ(high, wantHigh) << where;
+          ASSERT_EQ(block(), scalar()) << where;
+        }
+      }
+      for (std::size_t b = 0; b < n; ++b) (void)stream();  // a fresh window next
+    }
+  }
 }
 
 TEST(Rng, BinomialEdgeCases) {

@@ -90,7 +90,7 @@ void expectMatchesReference(std::size_t rows, std::size_t cols, double open, dou
   EXPECT_EQ(viaSampler(), viaReference()) << where;
 }
 
-TEST(DefectMap, ResampleMatchesPerCrosspointReferenceAcrossShapes) {
+TEST(IidBernoulli, MatchesPerCrosspointReferenceAcrossShapes) {
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {7, 1}, {7, 63}, {7, 64}, {7, 65}, {7, 130}, {1, 1}, {1, 65}, {1, 130}, {130, 1}, {0, 9},
       {9, 0}};
@@ -99,7 +99,19 @@ TEST(DefectMap, ResampleMatchesPerCrosspointReferenceAcrossShapes) {
       expectMatchesReference(rows, cols, 0.1, 0.0, seed);
 }
 
-TEST(DefectMap, ResampleMatchesPerCrosspointReferenceAcrossRates) {
+TEST(IidBernoulli, MatchesPerCrosspointReferenceAroundLaneTails) {
+  // Rng::belowMasks scores four draws per step where it can and the rest one
+  // by one: every tail length (0-3) after every lane count, at the first
+  // word, a full word plus a tail and two words plus a tail, on one row, a
+  // few rows and a full word of rows.
+  const std::size_t cols[] = {2, 3, 4, 5, 7, 8, 9, 44, 61, 62, 67, 68, 69, 131, 132};
+  for (const std::size_t rows : {1u, 3u, 64u})
+    for (const std::size_t c : cols)
+      for (const std::uint64_t seed : {5ull, 0x9e3779b97f4a7c15ull})
+        expectMatchesReference(rows, c, 0.12, 0.03, seed);
+}
+
+TEST(IidBernoulli, MatchesPerCrosspointReferenceAcrossRates) {
   const std::pair<double, double> rates[] = {
       {0.0, 0.0}, {1e-9, 0.0}, {0.1, 0.0}, {0.25, 0.0}, {0.5, 0.0}, {1.0, 0.0},
       {0.0, 1.0}, {0.12, 0.03}};
@@ -110,7 +122,7 @@ TEST(DefectMap, ResampleMatchesPerCrosspointReferenceAcrossRates) {
         expectMatchesReference(rows, cols, open, closed, seed);
 }
 
-TEST(DefectMap, ResampleThresholdsAreExactAtDrawnUniforms) {
+TEST(IidBernoulli, ThresholdsAreExactAtDrawnUniforms) {
   // Each rate equals a uniform the stream draws (or sits one ulp above it),
   // so that crosspoint lies exactly on the threshold: u < p must decide it
   // the same way as the reference, for the open and the closed threshold.
