@@ -1,12 +1,12 @@
 // Microbenchmarks (google-benchmark) of the library's hot kernels:
 // row matching, Munkres, tautology checking, complement, ISOP, espresso,
 // factoring, end-to-end HBA/EA mapping, and the three layers of the Monte
-// Carlo hot path (legacy vs sparse sampling, pairwise fit tests vs the
-// context's CM-transpose adjacency, cold vs warm-started Hopcroft-Karp) on the bw
-// multi-level workload at the paper's 10% stuck-open rate (the legacy
-// sampler on alu4's Table II crossbar too), Hopcroft-Karp's
-// augmenting search on a dense rd84 Table II sample, plus the
-// memoized synthesis front-end (full pipeline compile vs cache hit), and
+// Carlo hot path (legacy vs sparse sampling, one sample vs four in lockstep,
+// pairwise fit tests vs the context's CM-transpose adjacency, cold vs
+// warm-started Hopcroft-Karp) on the bw multi-level workload at the paper's
+// 10% stuck-open rate (the legacy sampler on alu4's Table II crossbar too),
+// Hopcroft-Karp's augmenting search on a dense rd84 Table II sample, plus
+// the memoized synthesis front-end (full pipeline compile vs cache hit), and
 // the telemetry layer's own overhead (counter adds, histogram records,
 // disarmed vs histogram-fed spans).
 #include <benchmark/benchmark.h>
@@ -25,6 +25,7 @@
 #include "logic/isop.hpp"
 #include "map/exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "mc/executor.hpp"
 #include "netlist/factor.hpp"
 #include "netlist/nand_mapper.hpp"
 #include "obs/metrics.hpp"
@@ -122,6 +123,13 @@ const FunctionMatrix& alu4FunctionMatrix() {
   return fm;
 }
 
+/// Seconds per drawn map, for kernels that draw @p maps per iteration.
+benchmark::Counter perSample(std::size_t maps) {
+  return benchmark::Counter(static_cast<double>(maps),
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
 void BM_SamplerLegacy(benchmark::State& state, const FunctionMatrix& (*circuit)()) {
   const FunctionMatrix& fm = circuit();
   const IidBernoulli model(0.10, 0.0);
@@ -131,9 +139,28 @@ void BM_SamplerLegacy(benchmark::State& state, const FunctionMatrix& (*circuit)(
     model.generate(fm.rows(), fm.cols(), rng, map);
     benchmark::DoNotOptimize(map);
   }
+  state.counters["per_sample"] = perSample(1);
 }
 BENCHMARK_CAPTURE(BM_SamplerLegacy, bw, &bwFunctionMatrix);
 BENCHMARK_CAPTURE(BM_SamplerLegacy, alu4, &alu4FunctionMatrix);
+
+// The engine's batched draw: four samples' sweeps in lockstep, one stream
+// per lane. per_sample compares with BM_SamplerLegacy's one map per
+// iteration.
+void BM_SamplerLegacyLanes(benchmark::State& state, const FunctionMatrix& (*circuit)()) {
+  const FunctionMatrix& fm = circuit();
+  const IidBernoulli model(0.10, 0.0);
+  std::vector<Rng> rngs = splitSampleStreams(6, Rng::kLanes);
+  std::vector<DefectMap> maps(Rng::kLanes);
+  for (auto _ : state) {
+    model.generateLanes(fm.rows(), fm.cols(), rngs, maps);
+    benchmark::DoNotOptimize(maps.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_sample"] = perSample(Rng::kLanes);
+}
+BENCHMARK_CAPTURE(BM_SamplerLegacyLanes, bw, &bwFunctionMatrix);
+BENCHMARK_CAPTURE(BM_SamplerLegacyLanes, alu4, &alu4FunctionMatrix);
 
 void BM_SamplerSparse(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();

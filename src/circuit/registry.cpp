@@ -81,10 +81,10 @@ namespace {
 
 /// Resolve a "circuit" string: a prefixed source form, else a preset name.
 /// Bare names that match nothing get the full preset list.
-CircuitSpec resolveSource(const std::string& source) {
+CircuitSpec resolveSource(const std::string& source, const FileSourcePolicy& files) {
   if (source.starts_with("file:") || source.starts_with("pla:") ||
       source.starts_with("sop:") || source.starts_with("gen:"))
-    return circuitSourceSpec(source);
+    return circuitSourceSpec(source, files);
   return requirePreset(circuitPresets(), source, "circuit",
                        "or a file:/pla:/sop:/gen: source, or a JSON spec")
       .spec;
@@ -92,14 +92,14 @@ CircuitSpec resolveSource(const std::string& source) {
 
 }  // namespace
 
-CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
+CircuitSpec circuitSpecFromSpec(const SpecValue& spec, const FileSourcePolicy& files) {
   if (!spec.isObject()) throw ParseError("circuit spec: expected a JSON object");
   requireOnlyKeys(spec, "circuit spec: ",
                   {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
 
   const std::string source = spec.stringOr("circuit", "");
   if (source.empty()) throw ParseError("circuit spec: missing \"circuit\" member");
-  CircuitSpec result = resolveSource(source);
+  CircuitSpec result = resolveSource(source, files);
 
   if (spec.find("synth") != nullptr)
     result.synth = synthFromString(spec.stringOr("synth", ""));
@@ -132,15 +132,16 @@ CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
   return result;
 }
 
-CircuitSpec makeCircuitSpec(const std::string& nameOrSpec) {
-  if (isInlineSpec(nameOrSpec)) return circuitSpecFromSpec(parseSpec(nameOrSpec));
-  return resolveSource(nameOrSpec);
+CircuitSpec makeCircuitSpec(const std::string& nameOrSpec, const FileSourcePolicy& files) {
+  if (isInlineSpec(nameOrSpec)) return circuitSpecFromSpec(parseSpec(nameOrSpec), files);
+  return resolveSource(nameOrSpec, files);
 }
 
-CircuitSpec makeCircuitSpec(const SpecValue& nameOrSpec) {
-  if (nameOrSpec.kind == SpecValue::Kind::String) return makeCircuitSpec(nameOrSpec.string);
+CircuitSpec makeCircuitSpec(const SpecValue& nameOrSpec, const FileSourcePolicy& files) {
+  if (nameOrSpec.kind == SpecValue::Kind::String)
+    return makeCircuitSpec(nameOrSpec.string, files);
   if (!nameOrSpec.isObject()) throw ParseError("circuit spec: expected a name or a JSON object");
-  return circuitSpecFromSpec(nameOrSpec);
+  return circuitSpecFromSpec(nameOrSpec, files);
 }
 
 }  // namespace mcx

@@ -35,17 +35,18 @@ const CircuitPreset* findCircuitPreset(const std::string& name);
 ///    "label": "adder"}
 /// "circuit" is a preset name or a prefixed source string (file:/pla:/sop:/
 /// gen:, see circuitSourceSpec); the remaining members override the base
-/// declaration. Throws mcx::ParseError on unknown members or values.
-CircuitSpec circuitSpecFromSpec(const SpecValue& spec);
+/// declaration. Throws mcx::ParseError on unknown members or values, and on
+/// a file: source that @p files refuses.
+CircuitSpec circuitSpecFromSpec(const SpecValue& spec, const FileSourcePolicy& files = {});
 
 /// Resolve a circuit string: a preset name ("bw"), a prefixed source
 /// ("file:adder.pla", "gen:weight5", ...) or, when the string starts with
 /// '{' (after JSON whitespace), a JSON spec. Throws mcx::ParseError listing
 /// the known presets when the name resolves to nothing.
-CircuitSpec makeCircuitSpec(const std::string& nameOrSpec);
+CircuitSpec makeCircuitSpec(const std::string& nameOrSpec, const FileSourcePolicy& files = {});
 
 /// The same for a spec value: a string resolves as above, an object as
 /// circuitSpecFromSpec.
-CircuitSpec makeCircuitSpec(const SpecValue& nameOrSpec);
+CircuitSpec makeCircuitSpec(const SpecValue& nameOrSpec, const FileSourcePolicy& files = {});
 
 }  // namespace mcx

@@ -1,6 +1,8 @@
 #include "circuit/spec.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <filesystem>
 
 #include "logic/pla.hpp"
 #include "util/error.hpp"
@@ -12,6 +14,24 @@ namespace {
 std::string basenameOf(const std::string& path) {
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/// The path a file: source may be read from under @p files; throws
+/// ParseError, without opening anything, when the policy refuses it.
+std::string admittedPath(const std::string& path, const FileSourcePolicy& files) {
+  if (!files.allowFiles)
+    throw ParseError("circuit spec: file: sources are disabled (no PLA root is set)");
+  if (files.root.empty()) return path;
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path root = fs::weakly_canonical(files.root, ec);
+  if (ec) throw ParseError("circuit spec: PLA root \"" + files.root + "\" is unusable");
+  const fs::path resolved = fs::weakly_canonical(root / path, ec);
+  const bool under =
+      !ec && std::mismatch(root.begin(), root.end(), resolved.begin(), resolved.end()).first ==
+                 root.end();
+  if (!under) throw ParseError("circuit spec: file: path \"" + path + "\" is outside the PLA root");
+  return resolved.string();
 }
 
 }  // namespace
@@ -154,12 +174,13 @@ GeneratorId parseGeneratorId(const std::string& id) {
   return gen;
 }
 
-CircuitSpec circuitSourceSpec(const std::string& source) {
+CircuitSpec circuitSourceSpec(const std::string& source, const FileSourcePolicy& files) {
   CircuitSpec spec;
   if (source.starts_with("file:")) {
     spec.source = CircuitSpec::Source::File;
     spec.name = source.substr(5);
     if (spec.name.empty()) throw ParseError("circuit spec: empty file: path");
+    spec.name = admittedPath(spec.name, files);
     // Fail at declaration time, not deep inside an experiment run.
     readPlaFileBytes(spec.name);
     return spec;

@@ -103,9 +103,22 @@ struct GeneratorId {
 /// declaration-time validation and the pipeline's dispatch.
 GeneratorId parseGeneratorId(const std::string& id);
 
+/// Which `file:` circuit sources a declaration may name. The library and
+/// the command-line tools read any path they are given; a service that
+/// parses client requests refuses them, or confines them to one directory.
+struct FileSourcePolicy {
+  /// False: every file: source is refused before its path is touched.
+  bool allowFiles = true;
+  /// Non-empty: a file: path, a relative one taken from here, must stay
+  /// under this directory once `..` and symlinks are resolved; the spec
+  /// then names the resolved path.
+  std::string root;
+};
+
 /// Parse a prefixed source string into a spec with default synthesis and
 /// realization:
-///   "file:examples/data/adder.pla"  (must exist and be readable)
+///   "file:examples/data/adder.pla"  (must exist and be readable, and pass
+///                                    @p files)
 ///   "pla:.i 2\n.o 1\n11 1\n.e"
 ///   "sop:x1 x2 + !x3"
 ///   "gen:weight5" | "gen:sqrt8" | "gen:parity4" | "gen:majority7" |
@@ -113,6 +126,6 @@ GeneratorId parseGeneratorId(const std::string& id);
 /// Unprefixed strings are Registry sources, NOT validated here — use
 /// makeCircuitSpec (circuit/registry.hpp) to resolve preset/registry names
 /// with a helpful error.
-CircuitSpec circuitSourceSpec(const std::string& source);
+CircuitSpec circuitSourceSpec(const std::string& source, const FileSourcePolicy& files = {});
 
 }  // namespace mcx

@@ -1,6 +1,9 @@
 #include "mc/defect_experiment.hpp"
 
+#include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
 
 #include "mc/executor.hpp"
 #include "obs/trace.hpp"
@@ -49,16 +52,31 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   const std::vector<Rng> streams = splitSampleStreams(config.seed, config.samples);
   const std::size_t rows = fm.rows() + config.spareRows;
 
+  // Samples run in batches of `width`, drawn together (generateLanes: the
+  // dense i.i.d. sweeps of up to Rng::kLanes samples advance in lockstep),
+  // then mapped one by one. The width fills the batches only as far as
+  // every lane still gets one: min(kLanes, ceil(samples / lanes)).
+  const auto ceilDiv = [](std::size_t a, std::size_t b) { return (a + b - 1) / b; };
+  const auto batchWidth = [&](std::size_t lanes) {
+    return std::clamp<std::size_t>(ceilDiv(config.samples, lanes), 1, Rng::kLanes);
+  };
+
   // Run on the caller's persistent pool when provided (the service shares
   // one across requests); otherwise on a transient pool sized by the
-  // historical threads knob, capped at one lane per sample.
+  // historical threads knob, capped at one lane per batch.
   std::optional<ExecutorPool> localPool;
   ExecutorPool* pool = config.pool;
+  std::size_t width = 0;
   if (pool == nullptr) {
-    localPool.emplace(std::min(resolveThreadCount(config.threads),
-                               std::max<std::size_t>(config.samples, 1)));
+    const std::size_t threads = resolveThreadCount(config.threads);
+    width = batchWidth(threads);
+    localPool.emplace(
+        std::min(threads, std::max<std::size_t>(ceilDiv(config.samples, width), 1)));
     pool = &*localPool;
+  } else {
+    width = batchWidth(pool->slots());
   }
+  const std::size_t batches = ceilDiv(config.samples, width);
   const CancelToken* token = config.cancel.get();
 
   struct PerSample {
@@ -72,12 +90,14 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   std::vector<PerSample> outcomes(config.samples);
   if (config.keepMappings) result.mappings.resize(config.samples);
 
-  // Per-worker scratch arenas: the DefectMap, crossbar BitMatrix, and
-  // mapping-context buffers are reused across every sample a worker
-  // processes. Each sample's outcome depends only on its own stream, so
-  // results stay independent of the thread count.
+  // Per-worker scratch arenas: the batch's streams and DefectMaps, the
+  // crossbar BitMatrix, and mapping-context buffers are reused across every
+  // sample a worker processes. Each sample's outcome depends only on its own
+  // stream, so results stay independent of the thread count and the batch
+  // width.
   struct Scratch {
-    DefectMap defects;
+    std::array<Rng, Rng::kLanes> rngs;
+    std::array<DefectMap, Rng::kLanes> defects;
     BitMatrix cm;
     MappingContext ctx;
   };
@@ -85,54 +105,63 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
 
   Stopwatch wall;
   obs::Span mcSpan("mc_experiment");
-  pool->run(config.samples, [&](std::size_t worker, std::size_t s) {
-    // Cooperative abort: a fired token skips the sample entirely (its
-    // outcome stays !done); samples already past this check finish
-    // normally, so scratch arenas and results are never left mid-sample.
+  pool->run(batches, [&](std::size_t worker, std::size_t batch) {
+    // Cooperative abort: a fired token skips the rest of the run. The check
+    // runs before each batch's draw and again before each of its samples;
+    // a skipped sample's outcome stays !done, and samples already past the
+    // check finish normally, so scratch arenas and results are never left
+    // mid-sample.
     if (token != nullptr && token->stopRequested()) return;
-    faultinject::onSite("mc.sample");
-
     Scratch& sc = scratch[worker];
-    Rng sampleRng = streams[s];
-    model->generate(rows, fm.cols(), sampleRng, sc.defects);
-    crossbarMatrixInto(sc.defects, sc.cm);
+    const std::size_t first = batch * width;
+    const std::size_t count = std::min(width, config.samples - first);
+    std::copy_n(streams.begin() + static_cast<std::ptrdiff_t>(first), count, sc.rngs.begin());
+    model->generateLanes(rows, fm.cols(), std::span(sc.rngs).first(count),
+                         std::span(sc.defects).first(count));
     sc.ctx.setExecution(token, pool);
 
-    double sec = 0;
-    MappingResult mapping;
-    if (config.timePerSample) {
-      Stopwatch watch;
-      mapping = mapper.map(fm, sc.cm, sc.ctx);
-      sec = watch.seconds();
-    } else {
-      mapping = mapper.map(fm, sc.cm, sc.ctx);
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      if (token != nullptr && token->stopRequested()) return;
+      faultinject::onSite("mc.sample");
+      const std::size_t s = first + lane;
+      crossbarMatrixInto(sc.defects[lane], sc.cm);
+
+      double sec = 0;
+      MappingResult mapping;
+      if (config.timePerSample) {
+        Stopwatch watch;
+        mapping = mapper.map(fm, sc.cm, sc.ctx);
+        sec = watch.seconds();
+      } else {
+        mapping = mapper.map(fm, sc.cm, sc.ctx);
+      }
+
+      // A mapper interrupted mid-solve reached no verdict: leave the sample
+      // unrecorded (!done), exactly like the pre-sample token check above —
+      // an aborted run's recorded samples are a subset of an uninterrupted
+      // rerun's, outcome-identical sample by sample (streams are pre-split).
+      if (mapping.aborted) continue;
+
+      // Every claimed success is verified against the matching rules
+      // (cheap), so an experiment cannot silently report invalid mappings.
+      // Graded partial mappings carry a physical claim too (the retained
+      // rows really fit their CM rows).
+      if (mapping.success)
+        MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping),
+                    "runDefectExperiment: mapper returned an invalid mapping");
+      if (!mapping.success && !mapping.droppedRows.empty())
+        MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping),
+                    "runDefectExperiment: mapper returned an invalid partial mapping");
+
+      PerSample& out = outcomes[s];
+      out.done = true;
+      out.success = mapping.success;
+      out.error = mapping.realizedErrorOrBinary();
+      out.accepted = out.error <= config.epsilon;
+      out.backtracks = mapping.backtracks;
+      out.millis = sec * 1e3;
+      if (config.keepMappings) result.mappings[s] = std::move(mapping);
     }
-
-    // A mapper interrupted mid-solve reached no verdict: leave the sample
-    // unrecorded (!done), exactly like the pre-sample token check above —
-    // an aborted run's recorded samples are a subset of an uninterrupted
-    // rerun's, outcome-identical sample by sample (streams are pre-split).
-    if (mapping.aborted) return;
-
-    // Every claimed success is verified against the matching rules (cheap),
-    // so an experiment cannot silently report invalid mappings. Graded
-    // partial mappings carry a physical claim too (the retained rows really
-    // fit their CM rows).
-    if (mapping.success)
-      MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping),
-                  "runDefectExperiment: mapper returned an invalid mapping");
-    if (!mapping.success && !mapping.droppedRows.empty())
-      MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping),
-                  "runDefectExperiment: mapper returned an invalid partial mapping");
-
-    PerSample& out = outcomes[s];
-    out.done = true;
-    out.success = mapping.success;
-    out.error = mapping.realizedErrorOrBinary();
-    out.accepted = out.error <= config.epsilon;
-    out.backtracks = mapping.backtracks;
-    out.millis = sec * 1e3;
-    if (config.keepMappings) result.mappings[s] = std::move(mapping);
   }, token);
   mcSpan.finish();
   const double wallSeconds = wall.seconds();

@@ -8,9 +8,11 @@
 //
 // The engine is parallel and deterministic: the root RNG is pre-split into
 // one stream per sample (in sample order), samples are distributed over a
-// worker pool with per-worker scratch arenas, and the per-sample outcomes
-// are merged back in sample order. Defect maps, success counts, and row
-// assignments are therefore bit-identical at any thread count.
+// worker pool with per-worker scratch arenas in batches of up to four (one
+// DefectModel::generateLanes call draws a batch's maps, each from its own
+// stream), and the per-sample outcomes are merged back in sample order.
+// Defect maps, success counts, and row assignments are therefore
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>

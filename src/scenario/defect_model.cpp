@@ -24,7 +24,21 @@ void mark(DefectMap& map, std::size_t r, std::size_t c, DefectType t) {
   map.setType(r, c, t);
 }
 
+/// The dense i.i.d. sweep draws one uniform per crosspoint, row-major:
+/// u = k * 2^-53 with k = draw >> 11 (Rng::uniform), and since p * 2^53 is
+/// exact, u < p <=> k < ceil(p * 2^53). Integer thresholds make every map
+/// bit-identical to comparing uniforms.
+std::uint64_t drawThreshold(double p) {
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
 }  // namespace
+
+void DefectModel::generateLanes(std::size_t rows, std::size_t cols, std::span<Rng> rngs,
+                                std::span<DefectMap> out) const {
+  MCX_REQUIRE(rngs.size() == out.size(), "DefectModel::generateLanes: one map per stream");
+  for (std::size_t i = 0; i < rngs.size(); ++i) generate(rows, cols, rngs[i], out[i]);
+}
 
 DefectMap DefectModel::sample(std::size_t rows, std::size_t cols, Rng& rng) const {
   DefectMap map;
@@ -47,15 +61,9 @@ std::string IidBernoulli::describe() const {
 void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                             DefectMap& out) const {
   out.reshape(rows, cols);
-  // One uniform per crosspoint, row-major: u = k * 2^-53 with k = draw >> 11
-  // (Rng::uniform), and since p * 2^53 is exact, u < p <=> k < ceil(p * 2^53).
-  // Integer thresholds make every map bit-identical to comparing uniforms;
   // Rng::belowMasks draws and scores one 64-crosspoint row word per call.
-  const auto threshold = [](double p) {
-    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
-  };
-  const std::uint64_t tOpen = threshold(open_);
-  const std::uint64_t tAny = threshold(open_ + closed_);
+  const std::uint64_t tOpen = drawThreshold(open_);
+  const std::uint64_t tAny = drawThreshold(open_ + closed_);
   for (std::size_t r = 0; r < rows; ++r) {
     const auto open = out.mutableOpenBits().rowWords(r);
     const auto closed = out.mutableClosedBits().rowWords(r);
@@ -66,6 +74,39 @@ void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
       open[i] = openWord;
       closed[i] = anyWord & ~openWord;
     }
+  }
+}
+
+void IidBernoulli::generateLanes(std::size_t rows, std::size_t cols, std::span<Rng> rngs,
+                                 std::span<DefectMap> out) const {
+  MCX_REQUIRE(rngs.size() == out.size(), "IidBernoulli::generateLanes: one map per stream");
+  const std::uint64_t tOpen = drawThreshold(open_);
+  const std::uint64_t tAny = drawThreshold(open_ + closed_);
+  for (std::size_t first = 0; first < rngs.size(); first += Rng::kLanes) {
+    const std::size_t lanes = std::min(Rng::kLanes, rngs.size() - first);
+    // The lane kernel costs as much for one stream as for four; one
+    // stream's own sweep is cheaper.
+    if (lanes == 1) {
+      generate(rows, cols, rngs[first], out[first]);
+      continue;
+    }
+    // The same row-major sweep as generate(), every lane's in one kernel
+    // call: open words take the below-tOpen masks, closed words the
+    // below-tAny masks, which then lose their stuck-open bits.
+    for (std::size_t i = 0; i < lanes; ++i) out[first + i].reshape(rows, cols);
+    if (rows == 0) continue;
+    using Word = BitMatrix::Word;
+    Word* open[Rng::kLanes];
+    Word* closed[Rng::kLanes];
+    for (std::size_t i = 0; i < lanes; ++i) {
+      open[i] = out[first + i].mutableOpenBits().rowWords(0).data();
+      closed[i] = out[first + i].mutableClosedBits().rowWords(0).data();
+    }
+    Rng::belowMasksLanes(rngs.subspan(first, lanes), rows, cols, tOpen, tAny,
+                         std::span(open, lanes), std::span(closed, lanes));
+    const std::size_t words = rows * out[first].openBits().rowWords(0).size();
+    for (std::size_t i = 0; i < lanes; ++i)
+      for (std::size_t w = 0; w < words; ++w) closed[i][w] &= ~open[i][w];
   }
 }
 
@@ -150,6 +191,14 @@ void SparseIidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
       break;
     }
   }
+}
+
+void SparseIidBernoulli::generateLanes(std::size_t rows, std::size_t cols,
+                                       std::span<Rng> rngs, std::span<DefectMap> out) const {
+  if (stuckOpenRate() + stuckClosedRate() > kDenseRateCutoff)
+    IidBernoulli::generateLanes(rows, cols, rngs, out);
+  else
+    DefectModel::generateLanes(rows, cols, rngs, out);
 }
 
 // -------------------------------------------------------- ClusteredDefects

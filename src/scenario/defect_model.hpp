@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,15 @@ public:
   /// Fill @p out (reshaped to rows x cols) with a fresh defect pattern.
   virtual void generate(std::size_t rows, std::size_t cols, Rng& rng,
                         DefectMap& out) const = 0;
+
+  /// Batch form of generate(): out[i] receives the map generate() would
+  /// draw from rngs[i], and rngs[i] ends where that call leaves it. The
+  /// engine draws its samples through this in batches of up to Rng::kLanes.
+  /// The default loops generate(); a model whose draws can run several
+  /// streams side by side overrides it. A name of its own, not a generate()
+  /// overload, so that a derived generate() cannot hide it.
+  virtual void generateLanes(std::size_t rows, std::size_t cols, std::span<Rng> rngs,
+                             std::span<DefectMap> out) const;
 
   /// generate() under its former name: perfbench compiles against this.
   void generateTracked(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
@@ -64,6 +74,10 @@ public:
   std::string name() const override { return "iid"; }
   std::string describe() const override;
   void generate(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) const override;
+  /// Up to Rng::kLanes samples' sweeps in lockstep (Rng::belowMasksLanes),
+  /// each draw for draw as generate() makes it.
+  void generateLanes(std::size_t rows, std::size_t cols, std::span<Rng> rngs,
+                     std::span<DefectMap> out) const override;
 
   double stuckOpenRate() const { return open_; }
   double stuckClosedRate() const { return closed_; }
@@ -94,6 +108,10 @@ public:
   std::string name() const override { return "iid-sparse"; }
   std::string describe() const override;
   void generate(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) const override;
+  /// The parent's lanes above kDenseRateCutoff; below it, one sparse
+  /// generate() per sample.
+  void generateLanes(std::size_t rows, std::size_t cols, std::span<Rng> rngs,
+                     std::span<DefectMap> out) const override;
 };
 
 /// Particle-induced clusters: seed points land uniformly (expected

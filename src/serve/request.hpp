@@ -13,7 +13,8 @@
 //   id           string or number, echoed verbatim in the response
 //                (optional; the service numbers unnamed requests)
 //   circuit      preset / prefixed source string, or an inline circuit
-//                spec object (required)
+//                spec object (required); file: sources only under
+//                RequestLimits::plaRoot
 //   mapper       preset name or mapper spec object (default "hba")
 //   scenario     preset name or model spec object; absent = the legacy
 //                i.i.d. rate-pair path at `open`/`closed`
@@ -51,6 +52,9 @@ struct RequestLimits {
   std::size_t maxSamples = 1000000;
   std::size_t maxSpareRows = 1024;
   std::size_t maxLineBytes = 1 << 20;  ///< reject megabyte "lines" up front
+  /// The only directory `file:` circuit sources may be read from (a client
+  /// names server-side paths); empty = every file: source is refused.
+  std::string plaRoot;
 };
 
 struct Request {

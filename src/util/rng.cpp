@@ -32,6 +32,29 @@ double logGamma(double x) {
   return std::lgamma(x);
 #endif
 }
+
+constexpr std::size_t kMaxDraws = 64;
+
+// k = draw >> 11 < 2^53, so any threshold above 2^53 decides like 2^53.
+// Clamped, both sides of every compare lie in [0, 2^53], where a signed
+// compare is exact.
+std::uint64_t clampThreshold(std::uint64_t t) {
+  return std::min(t, std::uint64_t{1} << 53);
+}
+
+#if defined(__AVX2__)
+// Rotate each 64-bit lane left by r: one instruction with AVX-512VL, two
+// shifts and an or without.
+template <int r>
+__m256i rotl4(__m256i x) {
+#if defined(__AVX512VL__)
+  return _mm256_rol_epi64(x, r);
+#else
+  return _mm256_or_si256(_mm256_slli_epi64(x, r), _mm256_srli_epi64(x, 64 - r));
+#endif
+}
+#endif
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -108,13 +131,9 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
 
 void Rng::belowMasks(std::size_t n, std::uint64_t tLow, std::uint64_t tHigh,
                      std::uint64_t& low, std::uint64_t& high) {
-  constexpr std::size_t kMaxDraws = 64;
   MCX_REQUIRE(n <= kMaxDraws, "Rng::belowMasks: at most 64 draws");
-  // k < 2^53, so any threshold above 2^53 decides like 2^53. Clamped, both
-  // sides of every compare lie in [0, 2^53], where a signed compare is exact.
-  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
-  tLow = std::min(tLow, kTop);
-  tHigh = std::min(tHigh, kTop);
+  tLow = clampThreshold(tLow);
+  tHigh = clampThreshold(tHigh);
 
   // Pass 1: the state chain, serial by construction. Only the pre-scramble
   // word s_[1] of each step is kept; the scrambler does not feed the chain.
@@ -162,6 +181,83 @@ void Rng::belowMasks(std::size_t n, std::uint64_t tLow, std::uint64_t tHigh,
   }
   low = lowBits;
   high = highBits;
+}
+
+void Rng::belowMasksLanes(std::span<Rng> lanes, std::size_t rows, std::size_t cols,
+                          std::uint64_t tLow, std::uint64_t tHigh,
+                          std::span<std::uint64_t* const> low,
+                          std::span<std::uint64_t* const> high) {
+  const std::size_t m = lanes.size();
+  MCX_REQUIRE(m <= kLanes && low.size() >= m && high.size() >= m,
+              "Rng::belowMasksLanes: at most four lanes, one mask pair each");
+  const std::size_t wordsPerRow = (cols + kMaxDraws - 1) / kMaxDraws;
+  const std::size_t tail = cols - (wordsPerRow == 0 ? 0 : (wordsPerRow - 1) * kMaxDraws);
+#if defined(__AVX2__)
+  // Vector j holds state word s_[j] of every lane. Unused lanes start at
+  // the all-zero state, which xoshiro maps to itself.
+  alignas(32) std::uint64_t words[4][kLanes] = {};
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < 4; ++j) words[j][i] = lanes[i].s_[j];
+  const auto load = [](const std::uint64_t* p) {
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
+  };
+  const auto store = [](std::uint64_t* p, __m256i v) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
+  };
+  __m256i s0 = load(words[0]), s1 = load(words[1]), s2 = load(words[2]), s3 = load(words[3]);
+
+  // Per draw: the scrambler rotl(s1 * 5, 7) * 9 with shift-adds (AVX2 has
+  // no 64-bit multiply), k = >> 11, and k < t as a signed compare, which
+  // sets the whole lane; `bit` holds draw b's bit of the word, 1 << b.
+  const __m256i lowT = _mm256_set1_epi64x(static_cast<long long>(clampThreshold(tLow)));
+  const __m256i highT = _mm256_set1_epi64x(static_cast<long long>(clampThreshold(tHigh)));
+  alignas(32) std::uint64_t lowOut[kLanes], highOut[kLanes];
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < wordsPerRow; ++j, ++w) {
+      const std::size_t n = j + 1 == wordsPerRow ? tail : kMaxDraws;
+      __m256i bit = _mm256_set1_epi64x(1);
+      __m256i lowAcc = _mm256_setzero_si256(), highAcc = _mm256_setzero_si256();
+      for (std::size_t b = 0; b < n; ++b) {
+        const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
+        const __m256i rotated = rotl4<7>(times5);
+        const __m256i times9 = _mm256_add_epi64(_mm256_slli_epi64(rotated, 3), rotated);
+        const __m256i k = _mm256_srli_epi64(times9, 11);
+        lowAcc = _mm256_or_si256(lowAcc, _mm256_and_si256(_mm256_cmpgt_epi64(lowT, k), bit));
+        highAcc = _mm256_or_si256(highAcc, _mm256_and_si256(_mm256_cmpgt_epi64(highT, k), bit));
+        bit = _mm256_add_epi64(bit, bit);
+        // advance(), lane-wise.
+        const __m256i t = _mm256_slli_epi64(s1, 17);
+        s2 = _mm256_xor_si256(s2, s0);
+        s3 = _mm256_xor_si256(s3, s1);
+        s1 = _mm256_xor_si256(s1, s2);
+        s0 = _mm256_xor_si256(s0, s3);
+        s2 = _mm256_xor_si256(s2, t);
+        s3 = rotl4<45>(s3);
+      }
+      store(lowOut, lowAcc);
+      store(highOut, highAcc);
+      for (std::size_t i = 0; i < m; ++i) {
+        low[i][w] = lowOut[i];
+        high[i][w] = highOut[i];
+      }
+    }
+  }
+  store(words[0], s0);
+  store(words[1], s1);
+  store(words[2], s2);
+  store(words[3], s3);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < 4; ++j) lanes[i].s_[j] = words[j][i];
+#else
+  for (std::size_t i = 0; i < m; ++i) {
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t j = 0; j < wordsPerRow; ++j, ++w)
+        lanes[i].belowMasks(j + 1 == wordsPerRow ? tail : kMaxDraws, tLow, tHigh, low[i][w],
+                            high[i][w]);
+  }
+#endif
 }
 
 Rng Rng::split() { return Rng((*this)() ^ 0xd1b54a32d192ed03ull); }

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mcx {
@@ -39,6 +40,24 @@ public:
   /// and the compares run four draws at a time on AVX2 builds.
   void belowMasks(std::size_t n, std::uint64_t tLow, std::uint64_t tHigh, std::uint64_t& low,
                   std::uint64_t& high);
+
+  /// Generators the lane form of belowMasks advances together.
+  static constexpr std::size_t kLanes = 4;
+
+  /// belowMasks on up to kLanes generators at once, over a row-major grid
+  /// of draws: each of @p rows rows is ceil(cols / 64) words of up to 64
+  /// draws (the last one takes the row's remainder), drawn as belowMasks
+  /// calls would draw them, word by word. Lane i's masks for the grid's
+  /// w-th word go to low[i][w] and high[i][w], and each generator ends where
+  /// rows * cols operator() calls would leave it. One stream's state chain
+  /// is serial, but independent streams are not: on AVX2 builds the lanes'
+  /// chains advance side by side, one per 64-bit lane of a vector register
+  /// (so one lane costs as much as four). Without AVX2 each lane is a run
+  /// of belowMasks calls.
+  static void belowMasksLanes(std::span<Rng> lanes, std::size_t rows, std::size_t cols,
+                              std::uint64_t tLow, std::uint64_t tHigh,
+                              std::span<std::uint64_t* const> low,
+                              std::span<std::uint64_t* const> high);
 
   /// Uniform in [0, 1).
   double uniform() {

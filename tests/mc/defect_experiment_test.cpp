@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "scenario/defect_model.hpp"
 #include "scenario/registry.hpp"
+#include "util/faultinject.hpp"
 
 namespace mcx {
 namespace {
@@ -25,6 +26,9 @@ FunctionMatrix testFm() {
 // of SparseSamplerPinnedSuccessCounts; see that test for the re-pin policy.
 constexpr std::size_t kPinnedSparseSuccesses = 20;
 constexpr std::size_t kPinnedSparseMixedSuccesses = 3;
+
+// Sample counts around every batch tail of the engine's lockstep draw.
+constexpr std::size_t kBatchTailSamples[] = {1, 2, 3, 5, 7, 10, 64, 101};
 
 TEST(DefectExperiment, ZeroRateGivesFullSuccess) {
   DefectExperimentConfig cfg;
@@ -122,28 +126,36 @@ TEST(DefectExperiment, ResultsAreIdenticalAtAnyThreadCount) {
   };
   for (const auto& model : models) {
     SCOPED_TRACE(model ? model->describe() : "legacy rate pair");
-    DefectExperimentConfig base;
-    base.samples = 64;
-    base.stuckOpenRate = 0.12;
-    base.model = model;
-    base.seed = 0xfeed;
-    base.keepMappings = true;
-    base.threads = 1;
-    const auto reference = runDefectExperiment(testFm(), HybridMapper(), base);
-    ASSERT_EQ(reference.mappings.size(), base.samples);
+    // Sample counts around every batch tail: the batch width is
+    // min(4, ceil(samples / lanes)), so these give widths 1-4 with partial
+    // last batches at every thread count.
+    for (const std::size_t samples : kBatchTailSamples) {
+      DefectExperimentConfig base;
+      base.samples = samples;
+      base.stuckOpenRate = 0.12;
+      base.model = model;
+      base.seed = 0xfeed;
+      base.keepMappings = true;
+      base.threads = 1;
+      const auto reference = runDefectExperiment(testFm(), HybridMapper(), base);
+      ASSERT_EQ(reference.mappings.size(), base.samples);
 
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      DefectExperimentConfig cfg = base;
-      cfg.threads = threads;
-      const auto got = runDefectExperiment(testFm(), HybridMapper(), cfg);
-      EXPECT_EQ(got.successes, reference.successes) << "threads=" << threads;
-      EXPECT_EQ(got.totalBacktracks, reference.totalBacktracks) << "threads=" << threads;
-      ASSERT_EQ(got.mappings.size(), reference.mappings.size());
-      for (std::size_t s = 0; s < got.mappings.size(); ++s) {
-        EXPECT_EQ(got.mappings[s].success, reference.mappings[s].success)
-            << "threads=" << threads << " sample=" << s;
-        EXPECT_EQ(got.mappings[s].rowAssignment, reference.mappings[s].rowAssignment)
-            << "threads=" << threads << " sample=" << s;
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+        DefectExperimentConfig cfg = base;
+        cfg.threads = threads;
+        const auto got = runDefectExperiment(testFm(), HybridMapper(), cfg);
+        const std::string where =
+            "samples=" + std::to_string(samples) + " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.completed, samples) << where;
+        EXPECT_EQ(got.successes, reference.successes) << where;
+        EXPECT_EQ(got.totalBacktracks, reference.totalBacktracks) << where;
+        ASSERT_EQ(got.mappings.size(), reference.mappings.size());
+        for (std::size_t s = 0; s < got.mappings.size(); ++s) {
+          EXPECT_EQ(got.mappings[s].success, reference.mappings[s].success)
+              << where << " sample=" << s;
+          EXPECT_EQ(got.mappings[s].rowAssignment, reference.mappings[s].rowAssignment)
+              << where << " sample=" << s;
+        }
       }
     }
   }
@@ -182,25 +194,39 @@ TEST(DefectExperiment, MatchesForEachDefectSampleStreams) {
   // and the engine's context path (a reused per-worker context) must reproduce
   // the plain mapper.map() exactly. Checked for the legacy sampler and the
   // sparse one.
+  // The batched draws (generateLanes, four streams in lockstep) must
+  // reproduce the callback variant's one-sample-at-a-time generate() at
+  // every batch width and tail.
   for (const bool sparse : {false, true}) {
     SCOPED_TRACE(sparse ? "sparse" : "legacy");
-    DefectExperimentConfig cfg;
-    cfg.samples = 16;
-    cfg.stuckOpenRate = 0.15;
-    if (sparse) cfg.model = std::make_shared<SparseIidBernoulli>(0.15, 0.01);
-    cfg.seed = 99;
-    cfg.keepMappings = true;
-    cfg.threads = 4;
-    const auto result = runDefectExperiment(testFm(), HybridMapper(), cfg);
+    for (const std::size_t samples : kBatchTailSamples) {
+      for (const std::size_t threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+        const std::string where =
+            "samples=" + std::to_string(samples) + " threads=" + std::to_string(threads);
+        DefectExperimentConfig cfg;
+        cfg.samples = samples;
+        cfg.stuckOpenRate = 0.15;
+        if (sparse) cfg.model = std::make_shared<SparseIidBernoulli>(0.15, 0.01);
+        cfg.seed = 99;
+        cfg.keepMappings = true;
+        cfg.threads = threads;
+        const auto result = runDefectExperiment(testFm(), HybridMapper(), cfg);
 
-    const HybridMapper mapper;
-    const FunctionMatrix fm = testFm();
-    forEachDefectSample(fm, cfg, [&](std::size_t s, const DefectMap&, const BitMatrix& cm) {
-      const MappingResult direct = mapper.map(fm, cm);
-      ASSERT_LT(s, result.mappings.size());
-      EXPECT_EQ(direct.success, result.mappings[s].success) << "sample=" << s;
-      EXPECT_EQ(direct.rowAssignment, result.mappings[s].rowAssignment) << "sample=" << s;
-    });
+        const HybridMapper mapper;
+        const FunctionMatrix fm = testFm();
+        std::size_t seen = 0;
+        forEachDefectSample(fm, cfg, [&](std::size_t s, const DefectMap&, const BitMatrix& cm) {
+          const MappingResult direct = mapper.map(fm, cm);
+          ASSERT_LT(s, result.mappings.size());
+          EXPECT_EQ(direct.success, result.mappings[s].success) << where << " sample=" << s;
+          EXPECT_EQ(direct.rowAssignment, result.mappings[s].rowAssignment)
+              << where << " sample=" << s;
+          ++seen;
+        });
+        EXPECT_EQ(seen, samples) << where;
+      }
+    }
   }
 }
 
@@ -223,45 +249,87 @@ TEST(DefectExperiment, SparseSamplerPinnedSuccessCounts) {
   EXPECT_EQ(mixed.successes, kPinnedSparseMixedSuccesses);
 }
 
-/// Delegates to an inner model but fires the token during the FINAL
-/// sample's defect draw: the per-sample abort check has already passed, so
-/// every sample completes while the token ends the run "stopped" — the race
-/// a deadline expiring between the last sample and the engine's final
-/// bookkeeping produces in the wild, made deterministic.
-class CancelOnLastDrawModel : public DefectModel {
+/// HBA that fires the token while mapping its @p cancelAt-th sample (1 =
+/// the first), after the engine's abort check for that sample has passed.
+/// The sample itself still maps (the inner call runs without the token), so
+/// the run stops right after it. On one engine lane the mapper sees the
+/// samples in order, which makes the stop point deterministic.
+class CancelOnMapCallMapper : public IMapper {
 public:
-  CancelOnLastDrawModel(std::shared_ptr<const DefectModel> inner, CancelToken* token,
-                        std::size_t lastDraw)
-      : inner_(std::move(inner)), token_(token), lastDraw_(lastDraw) {}
-  std::string name() const override { return inner_->name(); }
-  std::string describe() const override { return inner_->describe(); }
-  void generate(std::size_t rows, std::size_t cols, Rng& rng,
-                DefectMap& out) const override {
-    if (draws_.fetch_add(1) + 1 == lastDraw_) token_->cancel();
-    inner_->generate(rows, cols, rng, out);
-  }
+  CancelOnMapCallMapper(CancelToken* token, std::size_t cancelAt)
+      : token_(token), cancelAt_(cancelAt) {}
+  std::string name() const override { return inner_.name(); }
 
 private:
-  std::shared_ptr<const DefectModel> inner_;
+  MappingResult mapRows(const FunctionMatrix& fm, const BitMatrix& cm,
+                        MappingContext&) const override {
+    if (calls_.fetch_add(1) + 1 == cancelAt_) token_->cancel();
+    return inner_.map(fm, cm);
+  }
+
+  HybridMapper inner_;
   CancelToken* token_;
-  std::size_t lastDraw_;
-  mutable std::atomic<std::size_t> draws_{0};
+  std::size_t cancelAt_;
+  mutable std::atomic<std::size_t> calls_{0};
 };
 
 TEST(DefectExperiment, TokenFiringAfterTheLastSampleDoesNotLabelTheRunAborted) {
+  // The token fires while the FINAL sample maps: every abort check has
+  // passed, so every sample completes while the token ends the run
+  // "stopped" — the race a deadline expiring between the last sample and
+  // the engine's final bookkeeping produces in the wild, made deterministic.
   DefectExperimentConfig cfg;
   cfg.samples = 8;
   cfg.threads = 1;
   cfg.seed = 5;
   cfg.cancel = std::make_shared<CancelToken>();
-  cfg.model = std::make_shared<CancelOnLastDrawModel>(
-      std::make_shared<IidBernoulli>(0.1, 0.0), cfg.cancel.get(), cfg.samples);
-  const DefectExperimentResult r = runDefectExperiment(testFm(), HybridMapper(), cfg);
+  const CancelOnMapCallMapper mapper(cfg.cancel.get(), cfg.samples);
+  const DefectExperimentResult r = runDefectExperiment(testFm(), mapper, cfg);
   // All samples ran; a fully-completed run must never be reported aborted
   // even though the token is now signalling stop.
   EXPECT_EQ(r.completed, cfg.samples);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.abortReason, "");
+}
+
+TEST(DefectExperiment, TokenFiringInsideABatchStopsAtTheNextSample) {
+  // Ten samples on one lane run as batches {0-3}, {4-7}, {8-9}; the token
+  // fires while sample 5 maps, in the middle of the second batch. Samples
+  // 0-5 finish and are outcome-identical to an uninterrupted run; 6 and 7,
+  // already drawn, are skipped by their own abort check, and batch 3 is
+  // never drawn.
+  DefectExperimentConfig base;
+  base.samples = 10;
+  base.threads = 1;
+  base.seed = 77;
+  base.stuckOpenRate = 0.15;
+  base.keepMappings = true;
+  const auto full = runDefectExperiment(testFm(), HybridMapper(), base);
+  ASSERT_EQ(full.completed, base.samples);
+
+  constexpr std::size_t kStopAfter = 6;
+  DefectExperimentConfig cfg = base;
+  cfg.cancel = std::make_shared<CancelToken>();
+  const CancelOnMapCallMapper mapper(cfg.cancel.get(), kStopAfter);
+  // Counts hits only: a plan that may fire zero times.
+  faultinject::arm("mc.sample", {faultinject::Kind::Stall, 0.0, 0, 0});
+  const DefectExperimentResult r = runDefectExperiment(testFm(), mapper, cfg);
+  const std::uint64_t started = faultinject::hits("mc.sample");
+  faultinject::reset();
+
+  EXPECT_TRUE(r.aborted);
+  EXPECT_EQ(r.abortReason, "cancelled");
+  EXPECT_EQ(r.completed, kStopAfter);
+  EXPECT_EQ(started, kStopAfter) << "one mc.sample hit per sample started";
+  std::size_t successes = 0;
+  for (std::size_t s = 0; s < kStopAfter; ++s) {
+    EXPECT_EQ(r.mappings[s].success, full.mappings[s].success) << "sample=" << s;
+    EXPECT_EQ(r.mappings[s].rowAssignment, full.mappings[s].rowAssignment) << "sample=" << s;
+    successes += r.mappings[s].success ? 1 : 0;
+  }
+  EXPECT_EQ(r.successes, successes);
+  for (std::size_t s = kStopAfter; s < cfg.samples; ++s)
+    EXPECT_TRUE(r.mappings[s].rowAssignment.empty()) << "sample=" << s << " never mapped";
 }
 
 TEST(DefectExperiment, ConcurrentExperimentsEachRecordOneSampleTime) {

@@ -7,6 +7,8 @@
 #include "logic/sop_parser.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "mc/defect_experiment.hpp"
+#include "mc/executor.hpp"
+#include "scenario/registry.hpp"
 #include "util/error.hpp"
 #include "xbar/function_matrix.hpp"
 
@@ -169,6 +171,62 @@ TEST(SparseIidBernoulli, DenseRatesFallBackToTheLegacySweep) {
   Rng a(17), b(17);
   EXPECT_TRUE(sameMap(sparse.sample(30, 41, a), dense.sample(30, 41, b)));
   EXPECT_EQ(a(), b());
+}
+
+// --- generateLanes: a batch draws what its samples draw one by one -------
+
+TEST(DefectModels, GenerateLanesMatchesPerSampleGenerate) {
+  // Every registry preset on both sides of the sparse sampler's dense
+  // cutoff, the legacy rate pair, iid-sparse below and above the cutoff,
+  // and a composite with a dense i.i.d. part. A model that overrides
+  // generate() but draws its lanes through an inherited kernel (the dense
+  // sweep under a sparse generate, say) fails here.
+  const double aboveCutoff = SparseIidBernoulli::kDenseRateCutoff + 0.10;
+  std::vector<std::shared_ptr<const DefectModel>> models;
+  for (const ScenarioPreset& preset : scenarioPresets())
+    for (const double rate : {0.10, aboveCutoff}) models.push_back(preset.make(rate));
+  models.push_back(std::make_shared<IidBernoulli>(0.10, 0.0));
+  models.push_back(std::make_shared<IidBernoulli>(0.12, 0.03));
+  models.push_back(std::make_shared<SparseIidBernoulli>(0.10, 0.02));
+  models.push_back(std::make_shared<SparseIidBernoulli>(aboveCutoff, 0.02));
+  ClusteredDefects::Params cp;
+  cp.clusterDensity = 2e-3;
+  models.push_back(std::make_shared<CompositeModel>(
+      "clusters+iid", std::vector<std::shared_ptr<const DefectModel>>{
+                          std::make_shared<ClusteredDefects>(cp),
+                          std::make_shared<IidBernoulli>(0.08, 0.01)}));
+
+  for (const auto& model : models) {
+    for (const std::size_t rows : {0, 1, 2, 64}) {
+      for (const std::size_t cols : {1, 3, 4, 5, 63, 64, 65, 130}) {
+        // Five lanes: past Rng::kLanes, IidBernoulli starts a second group.
+        for (std::size_t lanes = 1; lanes <= Rng::kLanes + 1; ++lanes) {
+          const std::string where = model->describe() + " rows=" + std::to_string(rows) +
+                                    " cols=" + std::to_string(cols) +
+                                    " lanes=" + std::to_string(lanes);
+          std::vector<Rng> batch = splitSampleStreams(rows * 1000 + cols, lanes);
+          std::vector<Rng> single = batch;
+          // Stale maps of another shape, as the engine's scratch holds.
+          std::vector<DefectMap> maps(lanes, DefectMap(7, 9));
+          for (DefectMap& map : maps) map.setType(6, 8, DefectType::StuckClosed);
+          model->generateLanes(rows, cols, batch, maps);
+          for (std::size_t i = 0; i < lanes; ++i) {
+            DefectMap expected;
+            model->generate(rows, cols, single[i], expected);
+            ASSERT_TRUE(sameMap(maps[i], expected)) << where << " lane=" << i;
+            ASSERT_EQ(batch[i](), single[i]()) << where << " lane=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DefectModels, GenerateLanesRejectsMismatchedSpans) {
+  std::vector<Rng> rngs(3);
+  std::vector<DefectMap> maps(2);
+  EXPECT_THROW(IidBernoulli(0.1).generateLanes(4, 4, rngs, maps), InvalidArgument);
+  EXPECT_THROW(ClusteredDefects({}).generateLanes(4, 4, rngs, maps), InvalidArgument);
 }
 
 // --- ClusteredDefects ------------------------------------------------------

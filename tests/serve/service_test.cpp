@@ -8,6 +8,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -288,9 +291,12 @@ TEST_F(ServiceTest, MalformedInlinePlaIsParseNotInternal) {
 
 TEST_F(ServiceTest, EndlessFileCircuitIsParseWithinItsDeadline) {
   // file:/dev/zero would stream without end; the declaration refuses it
-  // (not a regular file) before the request is queued.
+  // (not a regular file) before the request is queued, even with /dev as
+  // the PLA root.
   ResponseLog log;
-  ExperimentService service(smallOptions(), log.sink());
+  ServiceOptions options = smallOptions();
+  options.limits.plaRoot = "/dev";
+  ExperimentService service(options, log.sink());
   const auto start = std::chrono::steady_clock::now();
   service.submit(
       R"({"id": "zero", "circuit": "file:/dev/zero", "samples": 1, "deadline_ms": 100})");
@@ -299,6 +305,98 @@ TEST_F(ServiceTest, EndlessFileCircuitIsParseWithinItsDeadline) {
   EXPECT_EQ(errorCode(log.response("zero")), "parse");
   EXPECT_EQ(service.counters().parseErrors, 1u);
   EXPECT_EQ(service.counters().internalErrors, 0u);
+}
+
+/// A scratch tree for the PLA-root tests: root/ holds adder.pla, and
+/// outside.pla sits next to root/, reachable from it only by `..` or a
+/// symlink (root/link.pla).
+class PlaRootTree {
+public:
+  PlaRootTree() {
+    namespace fs = std::filesystem;
+    base_ = fs::path(::testing::TempDir()) /
+            ("mcx_pla_root_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+    fs::remove_all(base_);
+    fs::create_directories(base_ / "root");
+    write(base_ / "root" / "adder.pla");
+    write(base_ / "outside.pla");
+    fs::create_symlink(base_ / "outside.pla", base_ / "root" / "link.pla");
+  }
+  ~PlaRootTree() { std::filesystem::remove_all(base_); }
+  std::string root() const { return (base_ / "root").string(); }
+  std::string outside() const { return (base_ / "outside.pla").string(); }
+
+private:
+  static void write(const std::filesystem::path& path) {
+    std::ofstream(path) << ".i 2\n.o 1\n11 1\n.e\n";
+  }
+  std::filesystem::path base_;
+};
+
+/// Submits a circuit declaration; true when it is answered at parse time,
+/// before the request is queued, as `parse` with @p reason in the message.
+bool refusedAtParse(ExperimentService& service, ResponseLog& log, const std::string& id,
+                    const std::string& circuit, const std::string& reason) {
+  service.submit(R"({"id": ")" + id + R"(", "circuit": )" + circuit + R"(, "samples": 3})");
+  if (!log.has(id)) return false;
+  const SpecValue response = log.response(id);
+  return errorCode(response) == "parse" &&
+         response.find("error")->stringOr("message", "").find(reason) != std::string::npos;
+}
+
+TEST_F(ServiceTest, FileCircuitsAreRefusedWithoutAPlaRoot) {
+  // A client must not make the daemon open server-side paths: without
+  // --pla-root every file: source is refused at parse time, also when it
+  // sits inside an inline circuit spec (an object, or one sent as a string).
+  ResponseLog log;
+  ExperimentService service(smallOptions(), log.sink());
+  const std::string disabled = "file: sources are disabled";
+  EXPECT_TRUE(refusedAtParse(service, log, "plain", R"("file:/etc/passwd")", disabled));
+  EXPECT_TRUE(
+      refusedAtParse(service, log, "nested", R"({"circuit": "file:/etc/passwd"})", disabled));
+  EXPECT_TRUE(refusedAtParse(
+      service, log, "quoted",
+      R"("{\"circuit\": \"file:/etc/passwd\", \"synth\": \"espresso\"}")", disabled));
+  EXPECT_EQ(service.counters().accepted, 0u);
+  EXPECT_EQ(service.counters().parseErrors, 3u);
+  EXPECT_EQ(service.counters().internalErrors, 0u);
+}
+
+TEST_F(ServiceTest, FileCircuitsMustStayUnderThePlaRoot) {
+  const PlaRootTree tree;
+  ResponseLog log;
+  ServiceOptions options = smallOptions();
+  options.limits.plaRoot = tree.root();
+  ExperimentService service(options, log.sink());
+  const std::string outside = "is outside the PLA root";
+  EXPECT_TRUE(
+      refusedAtParse(service, log, "abs", R"("file:)" + tree.outside() + R"(")", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "dotdot", R"("file:../outside.pla")", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "dotdot-deep",
+                             R"("file:adder.pla/../../outside.pla")", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "symlink", R"("file:link.pla")", outside));
+  EXPECT_TRUE(
+      refusedAtParse(service, log, "nested", R"({"circuit": "file:../outside.pla"})", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "etc", R"("file:/etc/passwd")", outside));
+  EXPECT_EQ(service.counters().accepted, 0u);
+  EXPECT_EQ(service.counters().parseErrors, 6u);
+}
+
+TEST_F(ServiceTest, FileCircuitUnderThePlaRootStillRuns) {
+  const PlaRootTree tree;
+  ResponseLog log;
+  ServiceOptions options = smallOptions();
+  options.limits.plaRoot = tree.root();
+  ExperimentService service(options, log.sink());
+  service.submit(R"({"id": "rel", "circuit": "file:adder.pla", "samples": 3})");
+  service.submit(R"({"id": "abs", "circuit": {"circuit": "file:)" + tree.root() +
+                 R"(/./adder.pla", "synth": "espresso"}, "samples": 3})");
+  service.drain();
+  for (const char* id : {"rel", "abs"}) {
+    const SpecValue response = log.response(id);
+    EXPECT_EQ(response.stringOr("status", ""), "ok") << id;
+    EXPECT_EQ(response.numberOr("completed", 0), 3.0) << id;
+  }
 }
 
 TEST_F(ServiceTest, SatMapperRequestCompletes) {

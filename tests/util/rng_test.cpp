@@ -135,6 +135,76 @@ TEST(Rng, BelowMasksMatchScalarDrawsAndAdvanceTheStream) {
   }
 }
 
+TEST(Rng, BelowMasksLanesMatchEachLanesScalarDraws) {
+  // 0-4 lanes over grids of 0-3 rows and every row length 0-66 plus a few
+  // past two words, at fixed thresholds (never, k == 0 only, always, above
+  // the 2^53 range of k) and at k of lane 0's own draws. Each lane must
+  // score its own stream word by word, row-major, and leave it where
+  // rows * cols operator() calls would.
+  std::vector<std::size_t> colsList;
+  for (std::size_t c = 0; c <= 66; ++c) colsList.push_back(c);
+  colsList.insert(colsList.end(), {127, 128, 129, 130});
+  for (std::size_t lanes = 0; lanes <= Rng::kLanes; ++lanes) {
+    std::vector<Rng> streams;
+    for (std::size_t i = 0; i < lanes; ++i) streams.emplace_back(0x51a7e + 977 * i);
+    for (const std::size_t rows : {0, 1, 3}) {
+      for (const std::size_t cols : colsList) {
+        std::vector<std::uint64_t> thresholds = {0, 1, std::uint64_t{1} << 53,
+                                                 ~std::uint64_t{0}};
+        if (lanes > 0) {
+          Rng peek = streams[0];
+          for (std::size_t b = 0; b < rows * cols; ++b) {
+            const std::uint64_t k = peek() >> 11;
+            if (b % 29 == 0) thresholds.insert(thresholds.end(), {k, k + 1});
+          }
+        }
+        const std::size_t wordsPerRow = (cols + 63) / 64;
+        const std::size_t words = rows * wordsPerRow;
+        for (std::size_t a = 0; a < thresholds.size(); ++a) {
+          for (const std::size_t pair : {a, (a + 1) % thresholds.size()}) {
+            const std::uint64_t tLow = thresholds[a], tHigh = thresholds[pair];
+            std::vector<Rng> batch = streams;
+            std::vector<std::vector<std::uint64_t>> low(lanes), high(lanes);
+            std::vector<std::uint64_t*> lowPtr, highPtr;
+            for (std::size_t i = 0; i < lanes; ++i) {
+              low[i].assign(words, 0xdead);
+              high[i].assign(words, 0xbeef);
+              lowPtr.push_back(low[i].data());
+              highPtr.push_back(high[i].data());
+            }
+            Rng::belowMasksLanes(batch, rows, cols, tLow, tHigh, lowPtr, highPtr);
+            for (std::size_t i = 0; i < lanes; ++i) {
+              const std::string where = "lanes=" + std::to_string(lanes) +
+                                        " lane=" + std::to_string(i) +
+                                        " rows=" + std::to_string(rows) +
+                                        " cols=" + std::to_string(cols) +
+                                        " tLow=" + std::to_string(tLow) +
+                                        " tHigh=" + std::to_string(tHigh);
+              Rng scalar = streams[i];
+              for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t j = 0; j < wordsPerRow; ++j) {
+                  const std::size_t bits = std::min<std::size_t>(64, cols - 64 * j);
+                  std::uint64_t wantLow = 0, wantHigh = 0;
+                  for (std::size_t b = 0; b < bits; ++b) {
+                    const std::uint64_t k = scalar() >> 11;
+                    wantLow |= std::uint64_t{k < tLow} << b;
+                    wantHigh |= std::uint64_t{k < tHigh} << b;
+                  }
+                  ASSERT_EQ(low[i][r * wordsPerRow + j], wantLow) << where << " word=" << j;
+                  ASSERT_EQ(high[i][r * wordsPerRow + j], wantHigh) << where << " word=" << j;
+                }
+              }
+              ASSERT_EQ(batch[i](), scalar()) << where;
+            }
+          }
+        }
+        for (Rng& stream : streams)
+          for (std::size_t b = 0; b < rows * cols; ++b) (void)stream();  // a fresh window
+      }
+    }
+  }
+}
+
 TEST(Rng, BinomialEdgeCases) {
   Rng rng(29);
   EXPECT_EQ(rng.binomial(0, 0.5), 0u);

@@ -14,6 +14,8 @@
 //     `parse` error, never a crash
 //   - the admission queue is bounded (--queue-depth); over capacity the
 //     request is shed immediately with `overloaded`
+//   - `file:` circuit sources are refused unless --pla-root DIR is set,
+//     and then must resolve (`..` and symlinks followed) to a path under DIR
 //   - SIGINT/SIGTERM drain gracefully: stop admitting, finish in-flight
 //     work, flush the counters JSON to stderr, exit 0
 //   - MCX_FAULTINJECT arms the fault-injection sites (testing only)
@@ -488,6 +490,9 @@ int main(int argc, char** argv) {
              "(0 = watchdog off)");
   parser.add("--socket", &socketPath, "PATH",
              "serve a unix stream socket instead of stdin/stdout");
+  parser.add("--pla-root", &options.limits.plaRoot, "DIR",
+             "read file: circuit sources, only under DIR (default: refuse "
+             "every file: source)");
 
   switch (parser.parse(argc, argv, std::cout, std::cerr)) {
     case mcx::cli::ArgParser::Outcome::Ok: break;
