@@ -19,18 +19,23 @@ std::string basenameOf(const std::string& path) {
 /// The path a file: source may be read from under @p files; throws
 /// ParseError, without opening anything, when the policy refuses it.
 std::string admittedPath(const std::string& path, const FileSourcePolicy& files) {
-  if (!files.allowFiles)
+  if (!files.root) return path;
+  if (files.root->empty())
     throw ParseError("circuit spec: file: sources are disabled (no PLA root is set)");
-  if (files.root.empty()) return path;
   namespace fs = std::filesystem;
+  // canonical, not weakly_canonical: the file must exist anyway, and only a
+  // full resolution follows a symlink that sits after a missing component
+  // and a `..` (nope/../link.pla).
   std::error_code ec;
-  const fs::path root = fs::weakly_canonical(files.root, ec);
-  if (ec) throw ParseError("circuit spec: PLA root \"" + files.root + "\" is unusable");
-  const fs::path resolved = fs::weakly_canonical(root / path, ec);
+  const fs::path root = fs::canonical(*files.root, ec);
+  if (ec) throw ParseError("circuit spec: PLA root \"" + *files.root + "\" is unusable");
+  const fs::path resolved = fs::canonical(root / path, ec);
   const bool under =
       !ec && std::mismatch(root.begin(), root.end(), resolved.begin(), resolved.end()).first ==
                  root.end();
-  if (!under) throw ParseError("circuit spec: file: path \"" + path + "\" is outside the PLA root");
+  if (!under)
+    throw ParseError("circuit spec: file: path \"" + path +
+                     "\" does not resolve to a file under the PLA root");
   return resolved.string();
 }
 

@@ -105,14 +105,13 @@ GeneratorId parseGeneratorId(const std::string& id);
 
 /// Which `file:` circuit sources a declaration may name. The library and
 /// the command-line tools read any path they are given; a service that
-/// parses client requests refuses them, or confines them to one directory.
+/// parses client requests confines them to one directory, or refuses them.
 struct FileSourcePolicy {
-  /// False: every file: source is refused before its path is touched.
-  bool allowFiles = true;
-  /// Non-empty: a file: path, a relative one taken from here, must stay
-  /// under this directory once `..` and symlinks are resolved; the spec
-  /// then names the resolved path.
-  std::string root;
+  /// Unset: any path is read. Empty: every file: source is refused before
+  /// its path is touched. Otherwise a file: path, a relative one taken from
+  /// here, must name an existing file under this directory once `..` and
+  /// every symlink are resolved; the spec then names the resolved path.
+  std::optional<std::string> root;
 };
 
 /// Parse a prefixed source string into a spec with default synthesis and

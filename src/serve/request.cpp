@@ -97,7 +97,7 @@ Request parseRequest(const std::string& line, const RequestLimits& limits) {
 
     const SpecValue* circuit = doc.find("circuit");
     if (circuit == nullptr) failParse("member \"circuit\" is required");
-    req.circuit = makeCircuitSpec(*circuit, {!limits.plaRoot.empty(), limits.plaRoot});
+    req.circuit = makeCircuitSpec(*circuit, {limits.plaRoot});
 
     const SpecValue* mapper = doc.find("mapper");
     req.mapper = mapper == nullptr ? makeMapper("hba") : makeMapper(*mapper);

@@ -43,15 +43,11 @@ std::uint64_t clampThreshold(std::uint64_t t) {
 }
 
 #if defined(__AVX2__)
-// Rotate each 64-bit lane left by r: one instruction with AVX-512VL, two
-// shifts and an or without.
+// Rotate each 64-bit lane left by r (compilers fold this into vprolq where
+// AVX-512VL is enabled).
 template <int r>
 __m256i rotl4(__m256i x) {
-#if defined(__AVX512VL__)
-  return _mm256_rol_epi64(x, r);
-#else
   return _mm256_or_si256(_mm256_slli_epi64(x, r), _mm256_srli_epi64(x, 64 - r));
-#endif
 }
 #endif
 

@@ -309,7 +309,7 @@ TEST_F(ServiceTest, EndlessFileCircuitIsParseWithinItsDeadline) {
 
 /// A scratch tree for the PLA-root tests: root/ holds adder.pla, and
 /// outside.pla sits next to root/, reachable from it only by `..` or a
-/// symlink (root/link.pla).
+/// symlink (root/link.pla to the file, root/up to the directory above).
 class PlaRootTree {
 public:
   PlaRootTree() {
@@ -321,6 +321,7 @@ public:
     write(base_ / "root" / "adder.pla");
     write(base_ / "outside.pla");
     fs::create_symlink(base_ / "outside.pla", base_ / "root" / "link.pla");
+    fs::create_directory_symlink(base_, base_ / "root" / "up");
   }
   ~PlaRootTree() { std::filesystem::remove_all(base_); }
   std::string root() const { return (base_ / "root").string(); }
@@ -368,18 +369,27 @@ TEST_F(ServiceTest, FileCircuitsMustStayUnderThePlaRoot) {
   ServiceOptions options = smallOptions();
   options.limits.plaRoot = tree.root();
   ExperimentService service(options, log.sink());
-  const std::string outside = "is outside the PLA root";
+  const std::string outside = "does not resolve to a file under the PLA root";
   EXPECT_TRUE(
       refusedAtParse(service, log, "abs", R"("file:)" + tree.outside() + R"(")", outside));
   EXPECT_TRUE(refusedAtParse(service, log, "dotdot", R"("file:../outside.pla")", outside));
   EXPECT_TRUE(refusedAtParse(service, log, "dotdot-deep",
                              R"("file:adder.pla/../../outside.pla")", outside));
   EXPECT_TRUE(refusedAtParse(service, log, "symlink", R"("file:link.pla")", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "symlink-dir", R"("file:up/outside.pla")", outside));
+  // A missing component before `..` must not stop the symlinks after it
+  // from being resolved.
+  EXPECT_TRUE(
+      refusedAtParse(service, log, "missing-symlink", R"("file:nope/../link.pla")", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "missing-symlink-dir",
+                             R"("file:nope/../up/outside.pla")", outside));
+  EXPECT_TRUE(refusedAtParse(service, log, "nested-missing-symlink",
+                             R"({"circuit": "file:nope/../link.pla"})", outside));
   EXPECT_TRUE(
       refusedAtParse(service, log, "nested", R"({"circuit": "file:../outside.pla"})", outside));
   EXPECT_TRUE(refusedAtParse(service, log, "etc", R"("file:/etc/passwd")", outside));
   EXPECT_EQ(service.counters().accepted, 0u);
-  EXPECT_EQ(service.counters().parseErrors, 6u);
+  EXPECT_EQ(service.counters().parseErrors, 10u);
 }
 
 TEST_F(ServiceTest, FileCircuitUnderThePlaRootStillRuns) {
