@@ -10,6 +10,7 @@
 
 #include "api/driver.hpp"
 #include "circuit/cache.hpp"
+#include "circuit/registry.hpp"
 #include "map/redundant_mapper.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/text_table.hpp"
@@ -26,9 +27,10 @@ int runRedundancy(const std::vector<std::string>& args) {
   if (const auto code = bench::parseSuiteArgs(parser, args)) return *code;
 
   const std::size_t samples = common.samplesOr(100);
-  const std::shared_ptr<const Circuit> circuit = compileCircuit("squar5");
+  const CircuitSpec spec = makeCircuitSpec("squar5");
+  const std::shared_ptr<const Circuit> circuit = compileCircuit(spec);
   const FunctionMatrix& fm = circuit->fm;
-  std::cout << "Ablation: yield vs redundant lines on " << circuit->label << " ("
+  std::cout << "Ablation: yield vs redundant lines on " << spec.displayLabel() << " ("
             << fm.rows() << "x" << fm.cols() << " optimum, " << samples
             << " samples per cell)\n\n";
 

@@ -150,7 +150,7 @@ int runFig6(const std::vector<std::string>& args) {
             .run()
             .successRate();
       };
-      reference.addRow({two->label, std::to_string(two->cover.nin()),
+      reference.addRow({spec.displayLabel(), std::to_string(two->cover.nin()),
                         std::to_string(two->cover.size()),
                         std::to_string(two->dims().area()),
                         std::to_string(multi->dims().area()),

@@ -10,6 +10,13 @@
 // quantiles), per-stage queue-wait and synthesis-time distributions, shed
 // and deadline-miss counts for both passes.
 //
+// What compares builds: the cache (misses, synthesis runs) and parse counts
+// are fixed by the trace and do. The req/s and latency columns at <= 200
+// requests do not: a pass lasts ~70 ms, and seven runs of one unchanged
+// binary read 2266-3587 req/s cold (4-core shared host). Shed and deadline
+// counts follow the timing of the burst too (warm shed 94-127 over three
+// runs of one binary at the default 1000 requests).
+//
 // Usage:
 //   mcx_bench serve-trace [--requests N] [--queue-depth N] [--pool-threads N]
 //                         [--seed S] [--json PATH]

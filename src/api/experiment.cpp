@@ -182,10 +182,10 @@ ExperimentResult ExperimentBuilder::run() const {
   ExperimentResult result;
   result.circuit = circuitLabel_;
 
-  FunctionMatrix fm;
-  if (fm_.has_value()) {
-    fm = *fm_;
-  } else {
+  // Held for the whole run: the engine maps against the artifact's matrix
+  // (or the declared one) by reference.
+  std::shared_ptr<const Circuit> compiled;
+  if (!fm_.has_value()) {
     Stopwatch synthWatch;
     obs::Span synthSpan("synthesis");
     CircuitSpec spec = *spec_;
@@ -198,12 +198,13 @@ ExperimentResult ExperimentBuilder::run() const {
     // just to key it. Named declarations (registry/file/gen/...) are a
     // bounded set and stay memoized.
     const bool memoize = cache_ && spec.source != CircuitSpec::Source::Cover;
-    const std::shared_ptr<const Circuit> compiled = compileCircuit(spec, memoize);
-    fm = compiled->fm;
+    compiled = compileCircuit(spec, memoize);
     result.circuitSpec = spec.canonical();
     synthSpan.finish();
     result.synthesisMillis = synthWatch.millis();
   }
+
+  const FunctionMatrix& fm = compiled ? compiled->fm : *fm_;
 
   result.mapper = mapper_->name();
   result.scenario = config_.model ? scenarioLabel_ : std::string(kLegacyRatesLabel);

@@ -1,7 +1,6 @@
 #include "circuit/cache.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "circuit/registry.hpp"
@@ -38,15 +37,6 @@ std::string circuitContentKey(const CircuitSpec& spec) {
   return spec.canonical() + contentSuffix(spec);
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 CircuitCache& CircuitCache::global() {
   static CircuitCache cache;
   // Only the process-wide instance drives the registry gauge: tests build
@@ -57,14 +47,6 @@ CircuitCache& CircuitCache::global() {
 }
 
 namespace {
-
-template <typename Buckets>
-auto* findEntry(Buckets& buckets, std::uint64_t hash, const std::string& key) {
-  auto& bucket = buckets[hash];
-  for (auto& entry : bucket)
-    if (entry.key == key) return &entry;
-  return static_cast<decltype(bucket.data())>(nullptr);
-}
 
 /// Registry mirrors of Stats. The struct stays the resettable per-cache
 /// view (clear() zeroes it; tests pin that); the registry counters are the
@@ -98,29 +80,12 @@ obs::Gauge& cacheBytesGauge() {
   return g;
 }
 
-/// Evict the least-recently-used entry across one bucket level; returns the
-/// freed byte count (0 when the level is empty).
-template <typename Buckets>
-std::size_t evictOldest(Buckets& buckets, std::uint64_t* oldestStampOut) {
-  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-  typename Buckets::iterator oldestBucket = buckets.end();
-  std::size_t oldestIndex = 0;
-  for (auto it = buckets.begin(); it != buckets.end(); ++it) {
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      if (it->second[i].lastUse < oldest) {
-        oldest = it->second[i].lastUse;
-        oldestBucket = it;
-        oldestIndex = i;
-      }
-    }
-  }
-  if (oldestBucket == buckets.end()) return 0;
-  const std::size_t freed = oldestBucket->second[oldestIndex].bytes;
-  oldestBucket->second.erase(oldestBucket->second.begin() +
-                             static_cast<std::ptrdiff_t>(oldestIndex));
-  if (oldestBucket->second.empty()) buckets.erase(oldestBucket);
-  if (oldestStampOut) *oldestStampOut = oldest;
-  return freed;
+/// The least-recently-used entry of one memo stage (end() when empty).
+template <typename Stage>
+auto oldestEntry(Stage& stage) {
+  return std::min_element(stage.begin(), stage.end(), [](const auto& a, const auto& b) {
+    return a.second.lastUse < b.second.lastUse;
+  });
 }
 
 }  // namespace
@@ -130,27 +95,24 @@ void CircuitCache::publishBytesLocked() {
 }
 
 void CircuitCache::enforceBudgetLocked() {
-  // Joint LRU across both memo stages: whichever level holds the globally
+  // Joint LRU across both memo stages: whichever stage holds the globally
   // oldest entry gives it up first. Handed-out shared_ptrs keep evicted
   // artifacts alive for their holders, so eviction can never corrupt a
   // result a concurrent compile() already returned — the bit-identity
   // guarantee costs nothing beyond the re-compile on the next miss.
   while (budget_ != 0 && totalBytes_ > budget_) {
-    std::uint64_t circuitStamp = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t coverStamp = std::numeric_limits<std::uint64_t>::max();
-    // Probe both levels' oldest stamps without erasing: scan, then evict
-    // from the level holding the older one.
-    for (const auto& [hash, bucket] : circuits_)
-      for (const auto& entry : bucket) circuitStamp = std::min(circuitStamp, entry.lastUse);
-    for (const auto& [hash, bucket] : covers_)
-      for (const auto& entry : bucket) coverStamp = std::min(coverStamp, entry.lastUse);
+    const auto circuit = oldestEntry(circuits_);
+    const auto cover = oldestEntry(covers_);
     std::size_t freed = 0;
-    if (circuitStamp <= coverStamp && circuitStamp != std::numeric_limits<std::uint64_t>::max()) {
-      freed = evictOldest(circuits_, nullptr);
-    } else if (coverStamp != std::numeric_limits<std::uint64_t>::max()) {
-      freed = evictOldest(covers_, nullptr);
+    if (circuit != circuits_.end() &&
+        (cover == covers_.end() || circuit->second.lastUse < cover->second.lastUse)) {
+      freed = circuit->second.bytes;
+      circuits_.erase(circuit);
+    } else if (cover != covers_.end()) {
+      freed = cover->second.bytes;
+      covers_.erase(cover);
     } else {
-      break;  // both levels empty; nothing left to free
+      break;  // both stages empty; nothing left to free
     }
     totalBytes_ -= std::min(freed, totalBytes_);
     ++stats_.evictions;
@@ -164,7 +126,7 @@ void CircuitCache::enforceBudgetLocked() {
 std::shared_ptr<const Circuit> CircuitCache::compile(const CircuitSpec& spec) {
   // The source content is read once and keys both stages.
   const std::string suffix = contentSuffix(spec);
-  const std::string key = spec.canonical() + suffix;
+  std::string key = spec.canonical() + suffix;
 
   // Build while holding the lock: compilation is a front-end cost, and
   // serializing it means concurrent requests for the same spec do the work
@@ -172,56 +134,35 @@ std::shared_ptr<const Circuit> CircuitCache::compile(const CircuitSpec& spec) {
   // budget invariant atomic: no caller can observe currentBytes() above the
   // budget after any compile() returns.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (auto* entry = findEntry(circuits_, fnv1a64(key), key)) {
+  if (const auto hit = circuits_.find(key); hit != circuits_.end()) {
     ++stats_.hits;
     cacheHitCounter().add(1);
-    entry->lastUse = ++useClock_;
-    // The label is presentation, not identity: two specs differing only in
-    // label share one compile, but each caller gets its own label back.
-    // Relabeled variants are memoized under a label-discriminated key, so
-    // the artifact copy happens once per distinct label, not per lookup.
-    if (entry->value->label != spec.displayLabel()) {
-      const std::string labeledKey = key + "\n#label=" + spec.displayLabel();
-      const std::uint64_t labeledHash = fnv1a64(labeledKey);
-      if (auto* labeled = findEntry(circuits_, labeledHash, labeledKey)) {
-        labeled->lastUse = ++useClock_;
-        return labeled->value;
-      }
-      auto relabeled = std::make_shared<Circuit>(*entry->value);
-      relabeled->spec.label = spec.label;
-      relabeled->label = spec.displayLabel();
-      const std::size_t bytes = relabeled->estimatedBytes();
-      circuits_[labeledHash].push_back({labeledKey, relabeled, bytes, ++useClock_});
-      totalBytes_ += bytes;
-      enforceBudgetLocked();
-      return relabeled;
-    }
-    return entry->value;
+    hit->second.lastUse = ++useClock_;
+    return hit->second.value;
   }
   ++stats_.misses;
   cacheMissCounter().add(1);
 
   // Synthesis stage, shared across realization variants of the declaration.
-  const std::string synthKey = spec.synthCanonical() + suffix;
-  const std::uint64_t synthHash = fnv1a64(synthKey);
+  std::string synthKey = spec.synthCanonical() + suffix;
   std::shared_ptr<const SynthesizedCover> synthesized;
-  if (auto* entry = findEntry(covers_, synthHash, synthKey)) {
+  if (const auto hit = covers_.find(synthKey); hit != covers_.end()) {
     ++stats_.coverHits;
     coverHitCounter().add(1);
-    entry->lastUse = ++useClock_;
-    synthesized = entry->value;
+    hit->second.lastUse = ++useClock_;
+    synthesized = hit->second.value;
   } else {
     ++stats_.coverMisses;
     coverMissCounter().add(1);
     synthesized = std::make_shared<const SynthesizedCover>(buildSynthesizedCover(spec));
     const std::size_t bytes = synthesized->estimatedBytes();
-    covers_[synthHash].push_back({synthKey, synthesized, bytes, ++useClock_});
+    covers_.emplace(std::move(synthKey), Entry<SynthesizedCover>{synthesized, bytes, ++useClock_});
     totalBytes_ += bytes;
   }
 
   auto circuit = std::make_shared<const Circuit>(realizeCircuit(spec, *synthesized));
   const std::size_t bytes = circuit->estimatedBytes();
-  circuits_[fnv1a64(key)].push_back({key, circuit, bytes, ++useClock_});
+  circuits_.emplace(std::move(key), Entry<Circuit>{circuit, bytes, ++useClock_});
   totalBytes_ += bytes;
   enforceBudgetLocked();
   return circuit;
@@ -234,9 +175,7 @@ CircuitCache::Stats CircuitCache::stats() const {
 
 std::size_t CircuitCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t entries = 0;
-  for (const auto& [hash, bucket] : circuits_) entries += bucket.size();
-  return entries;
+  return circuits_.size();
 }
 
 void CircuitCache::clear() {

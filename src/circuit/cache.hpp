@@ -1,4 +1,4 @@
-// Memoized synthesis front-end: content-hash-keyed circuit compilation.
+// Memoized synthesis front-end: content-keyed circuit compilation.
 //
 // Synthesis dominates experiment start-up (espresso on a paper benchmark is
 // milliseconds to seconds; the Monte Carlo engine then maps thousands of
@@ -6,10 +6,13 @@
 // buildCircuit by CONTENT: the key is the spec's canonical declaration
 // plus the bytes behind it (the .pla file's content for File sources, the
 // serialized cover for Cover sources), so an edited file re-synthesizes
-// while a repeated declaration is a hash lookup. Memoization is two-stage:
+// while a repeated declaration is a map lookup. Memoization is two-stage:
 // the synthesized cover is keyed by source + synth alone, so the two-level
 // and multi-level (or differently factored) realizations of one
-// declaration share a single synthesis run.
+// declaration share a single synthesis run. The label is presentation, not
+// identity: the cached artifact carries none (realizeCircuit clears it), so
+// every label of one declaration shares one entry, and callers print their
+// own spec's displayLabel().
 //
 // RESOURCE GOVERNANCE: the cache is byte-accounted. Every entry (both
 // stages) carries a cost estimate (Circuit::estimatedBytes), and a
@@ -36,7 +39,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "circuit/pipeline.hpp"
 
@@ -47,10 +49,6 @@ namespace mcx {
 /// part of the canonical string). Throws mcx::ParseError when a File
 /// source's bytes cannot be read.
 std::string circuitContentKey(const CircuitSpec& spec);
-
-/// FNV-1a 64-bit hash of a content key (the bucket index; entries chain on
-/// the full key, so hash collisions cannot alias two circuits).
-std::uint64_t fnv1a64(const std::string& text);
 
 class CircuitCache {
 public:
@@ -84,27 +82,26 @@ public:
   std::size_t currentBytes() const;
 
 private:
-  /// Hash-bucketed entries chained on the full content key, so hash
-  /// collisions cannot alias two circuits. Two levels: realized circuits
-  /// by circuitContentKey, synthesized covers by synthCanonical + source —
-  /// compiling the two-level and multi-level variants of one declaration
-  /// synthesizes once. Each entry carries its byte cost and an LRU stamp.
+  /// One memo stage, keyed by the full content string: realized circuits
+  /// by circuitContentKey, synthesized covers by synthCanonical + source
+  /// content — compiling the two-level and multi-level variants of one
+  /// declaration synthesizes once. Each entry carries its byte cost and an
+  /// LRU stamp.
   template <typename T>
-  struct EntryOf {
-    std::string key;
+  struct Entry {
     std::shared_ptr<const T> value;
     std::size_t bytes = 0;
     std::uint64_t lastUse = 0;
   };
   template <typename T>
-  using Buckets = std::unordered_map<std::uint64_t, std::vector<EntryOf<T>>>;
+  using Stage = std::unordered_map<std::string, Entry<T>>;
 
   void enforceBudgetLocked();
   void publishBytesLocked();
 
   mutable std::mutex mutex_;
-  Buckets<Circuit> circuits_;
-  Buckets<SynthesizedCover> covers_;
+  Stage<Circuit> circuits_;
+  Stage<SynthesizedCover> covers_;
   Stats stats_;
   std::size_t budget_ = 0;      ///< 0 = unbounded
   std::size_t totalBytes_ = 0;  ///< summed entry costs, both stages

@@ -152,7 +152,7 @@ SynthesizedCover buildSynthesizedCover(const CircuitSpec& spec) {
 Circuit realizeCircuit(const CircuitSpec& spec, const SynthesizedCover& synthesized) {
   Circuit circuit;
   circuit.spec = spec;
-  circuit.label = spec.displayLabel();
+  circuit.spec.label.clear();  // presentation, not identity: callers print their own
   circuit.cover = synthesized.on;
   circuit.dc = synthesized.dc;
   circuit.stats.sourceProducts = synthesized.sourceProducts;
@@ -219,7 +219,7 @@ std::size_t SynthesizedCover::estimatedBytes() const {
 
 std::size_t Circuit::estimatedBytes() const {
   std::size_t bytes = sizeof(Circuit) + coverBytes(cover) + coverBytes(dc) +
-                      matrixBytes(fm) + label.size();
+                      matrixBytes(fm);
   if (layout.has_value()) bytes += layoutBytes(*layout);
   return bytes;
 }

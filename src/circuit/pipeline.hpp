@@ -32,8 +32,7 @@ struct CircuitSynthStats {
 
 /// The compiled artifact of a CircuitSpec.
 struct Circuit {
-  CircuitSpec spec;
-  std::string label;
+  CircuitSpec spec;  ///< label cleared: one artifact serves every label of a declaration
   Cover cover;  ///< post-synthesis cover (the FM's product rows, in order)
   Cover dc;     ///< source don't-care set (PLA sources; empty otherwise)
   FunctionMatrix fm;

@@ -663,7 +663,6 @@ ServiceCounters ExperimentService::counters() const {
   snapshot.circuitCacheHits = cache.hits - cacheBaseline_.hits;
   snapshot.circuitCacheMisses = cache.misses - cacheBaseline_.misses;
   snapshot.circuitCoverHits = cache.coverHits - cacheBaseline_.coverHits;
-  snapshot.circuitCoverMisses = cache.coverMisses - cacheBaseline_.coverMisses;
   snapshot.synthesisRuns = cache.coverMisses - cacheBaseline_.coverMisses;
   return snapshot;
 }
@@ -694,7 +693,6 @@ void ExperimentService::writeCountersJson(JsonWriter& json) const {
   json.field("circuit_cache_hits", c.circuitCacheHits);
   json.field("circuit_cache_misses", c.circuitCacheMisses);
   json.field("circuit_cover_hits", c.circuitCoverHits);
-  json.field("circuit_cover_misses", c.circuitCoverMisses);
   json.field("synthesis_runs", c.synthesisRuns);
   json.endObject();
 }

@@ -119,8 +119,7 @@ struct ServiceCounters {
   std::uint64_t circuitCacheHits = 0;
   std::uint64_t circuitCacheMisses = 0;
   std::uint64_t circuitCoverHits = 0;
-  std::uint64_t circuitCoverMisses = 0;
-  std::uint64_t synthesisRuns = 0;
+  std::uint64_t synthesisRuns = 0;  ///< cover-stage misses: synthesizer runs
 };
 
 class ExperimentService {

